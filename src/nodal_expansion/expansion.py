@@ -8,13 +8,22 @@ The expansion of a node subset S under nonnegative node weights w is
 defined whenever 0 < w(S) < w(V).  The crossing sum runs over edges only;
 nodes of zero weight contribute nothing to either side of the ratio, so
 exact searches enumerate over the positive-weight nodes.
+
+Exact mode rests on one table: phi of every subset of the p positive-weight
+nodes, built by a vectorized bit-matrix sweep.  The smallest entry decides
+`is_expander`.  A dynamic program over submasks reads from the table the
+largest partition into classes of phi below c, which serves
+`max_partitionable` and `find_partition`.  The table costs 2^p work and the
+partition DP up to 3^p, so each has its own cap on p:
+EXACT_BIPARTITION_CAP for the table alone, EXACT_SET_PARTITION_CAP where the
+DP runs too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,17 +109,16 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     return CutValue(numerator=num, denominator=min(w_s, w_rest))
 
 
-def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Minimum phi over all bipartitions with 0 < w(S) < w(V), and the first
-    (hence lexicographically determined) minimizing positive-weight set.
+def _phi_table(g: Graph, w: np.ndarray, pos: list[int]) -> np.ndarray:
+    """phi of every subset of the positive-weight nodes `pos`, indexed by
+    bitmask (bit j stands for pos[j]); inf for the empty and the full set.
 
-    Vectorized over bitmasks of the positive-weight nodes; the lowest
-    positive-weight node is pinned to the complement, halving the space.
+    One vectorized sweep over the bitmasks of the subsets that leave out
+    pos[0], in chunks of _CHUNK masks so that memory stays bounded.  Each
+    complement gets the same value, so phi(S) == phi(V \\ S) holds exactly
+    in the table as it does in `phi`.
     """
-    pos = [i for i in range(g.n) if w[i] > 0]
     p = len(pos)
-    if p < 2:
-        raise UndefinedCut("fewer than two positive-weight nodes; no proper cut")
     free = pos[1:]  # pos[0] pinned outside S
     col = {node: j for j, node in enumerate(free)}
     w_free = w[free]
@@ -124,9 +132,8 @@ def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
     cu = np.array([col.get(int(u), p - 1) for u in us], dtype=int)
     cv = np.array([col.get(int(v), p - 1) for v in vs], dtype=int)
 
-    best_phi = np.inf
-    best_mask = 0
     n_masks = 1 << (p - 1)
+    half = np.full(n_masks, np.inf)
     shifts = np.arange(p - 1)
     for start in range(1, n_masks, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, n_masks), dtype=np.int64)
@@ -144,13 +151,26 @@ def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
             num = np.zeros(len(masks))
         denom = np.minimum(w_s, total - w_s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(ok, num / denom, np.inf)
-        i = int(np.argmin(vals))
-        if vals[i] < best_phi:
-            best_phi = float(vals[i])
-            best_mask = int(masks[i])
-    witness = tuple(free[j] for j in range(p - 1) if (best_mask >> j) & 1)
-    return best_phi, witness
+            half[start: start + len(masks)] = np.where(ok, num / denom, np.inf)
+    # subset mask (over `free`) i is full-table mask 2i; its complement is
+    # the odd mask 2^p - 1 - 2i
+    table = np.empty(2 * n_masks)
+    table[0::2] = half
+    table[1::2] = half[::-1]
+    return table
+
+
+def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Minimum phi over all bipartitions with 0 < w(S) < w(V), and the first
+    (hence lexicographically determined) minimizing positive-weight set
+    that leaves out the lowest positive-weight node."""
+    pos = [i for i in range(g.n) if w[i] > 0]
+    if len(pos) < 2:
+        raise UndefinedCut("fewer than two positive-weight nodes; no proper cut")
+    half = _phi_table(g, w, pos)[0::2]  # the subsets without pos[0]
+    i = int(np.argmin(half))
+    witness = tuple(node for j, node in enumerate(pos) if (2 * i) >> j & 1)
+    return float(half[i]), witness
 
 
 def is_expander(
@@ -162,9 +182,10 @@ def is_expander(
 ) -> ExpanderVerdict:
     """Decide whether every proper-weight cut has phi >= c.
 
-    Exact mode enumerates all bipartitions (positive-weight nodes only, cap
-    EXACT_BIPARTITION_CAP) and is a proof either way.  Heuristic mode runs
-    sweep cuts and is a proof only when it finds a witness.
+    Exact mode takes the minimum of the subset phi table over the
+    positive-weight nodes (cap EXACT_BIPARTITION_CAP on their number) and is
+    a proof either way.  Heuristic mode runs sweep cuts and is a proof only
+    when it finds a witness.
     """
     w = _check_weights(g, w)
     if c <= 0:
@@ -176,9 +197,10 @@ def is_expander(
         # no proper cut exists: vacuously an expander
         return ExpanderVerdict(is_expander=True, c=c, witness=None, mode=mode)
     if mode == "exact":
-        if g.n > EXACT_BIPARTITION_CAP:
+        if n_pos > EXACT_BIPARTITION_CAP:
             raise ExactCapExceeded(
-                f"n={g.n} exceeds exact bipartition cap {EXACT_BIPARTITION_CAP}"
+                f"{n_pos} positive-weight nodes exceed exact bipartition cap "
+                f"{EXACT_BIPARTITION_CAP}"
             )
         min_phi, witness = _exact_min_phi(g, w)
         if min_phi < c:
@@ -191,9 +213,9 @@ def is_expander(
         S, cut = sweep_cut(g, w, order)
         if best is None or cut.phi < best[0]:
             best = (cut.phi, S)
-    if best is not None and best[0] < c:
-        # re-verify the witness by direct evaluation
-        assert phi(g, w, best[1]).phi < c
+    # re-verify the witness by direct evaluation; an explicit test, since
+    # `python -O` strips asserts
+    if best is not None and best[0] < c and phi(g, w, best[1]).phi < c:
         return ExpanderVerdict(False, c, best[1], "heuristic", best[0])
     return ExpanderVerdict(True, c, None, "heuristic", best[0] if best else None)
 
@@ -257,26 +279,89 @@ def sweep_cut(
     return S, phi(g, w, S)
 
 
-def _restricted_growth_strings(n: int, k: int) -> Iterator[list[int]]:
-    """All assignments of n items to exactly k blocks, in restricted-growth
-    (lexicographic) order; prunes branches that cannot reach k blocks."""
-    a = [0] * n
+def _largest_partition(qualifying: list[bool]) -> list[int]:
+    """Masks of a largest partition of the full mask into qualifying masks,
+    in order of their lowest bit; [] when there is none.
 
-    def rec(i: int, b: int) -> Iterator[list[int]]:
-        if i == n:
-            if b == k:
-                yield list(a)
-            return
-        hi = min(b, k - 1)  # new block only if still needed/allowed
-        for val in range(hi + 1):
-            nb = b + 1 if val == b else b
-            if nb + (n - i - 1) < k:
-                continue
-            a[i] = val
-            yield from rec(i + 1, nb)
+    best(m) is the largest number of qualifying masks that partition m, or
+    -1 if none do.  The class holding m's lowest bit is chosen among the
+    qualifying submasks of m with that bit, so each partition is tried once.
+    """
+    full = len(qualifying) - 1
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
 
-    if 0 < k <= n:
-        yield from rec(0, 0)
+    def best(m: int) -> int:
+        hit = memo.get(m)
+        if hit is not None:
+            return hit[0]
+        low = m & -m
+        rest = m ^ low
+        out, choice = -1, 0
+        s = rest
+        while True:  # every submask s of rest, the class being s | low
+            q = s | low
+            if qualifying[q]:
+                r = best(m ^ q)
+                if r >= 0 and r + 1 > out:
+                    out, choice = r + 1, q
+            if not s:
+                break
+            s = (s - 1) & rest
+        memo[m] = (out, choice)
+        return out
+
+    if best(full) < 0:
+        return []
+    classes = []
+    m = full
+    while m:
+        q = memo[m][1]
+        classes.append(q)
+        m ^= q
+    return classes
+
+
+def _exact_partition(
+    g: Graph, w: np.ndarray, c: float, k: int | None = None
+) -> PartitionCertificate | None:
+    """Certified partition into k classes of phi < c, or into as many as
+    possible when k is None; None when fewer than max(k, 2) classes exist.
+
+    The DP works on the table values, and `_certify` re-checks each class
+    by direct phi.  A class whose phi lies within rounding of c can pass
+    the one and fail the other; the DP classes that make it up then leave
+    the qualifying set and the DP runs again.
+    """
+    pos = [i for i in range(g.n) if w[i] > 0]
+    if len(pos) > EXACT_SET_PARTITION_CAP:
+        raise ExactCapExceeded(
+            f"{len(pos)} positive-weight nodes exceed set-partition cap "
+            f"{EXACT_SET_PARTITION_CAP}"
+        )
+    qualifying = (_phi_table(g, w, pos) < c).tolist()
+    while True:
+        found = _largest_partition(qualifying)
+        if len(found) < (2 if k is None else k):
+            return None
+        masks = found
+        if k is not None and k < len(found):
+            # Merging keeps every phi below c.  For classes A, B whose union
+            # is the lighter side, cut(A|B) <= cut(A) + cut(B) < c*w(A|B);
+            # otherwise cut(A|B) = cut(rest) <= sum of cut(C_i) over the
+            # classes C_i of the rest < c*w(rest).
+            merged = 0
+            for q in found[k - 1:]:
+                merged |= q
+            masks = found[: k - 1] + [merged]
+        classes = [[node for j, node in enumerate(pos) if q >> j & 1] for q in masks]
+        cert = _certify(g, w, _attach_zero_weight_nodes(g, w, classes), c)
+        if cert.valid:
+            return cert
+        for q, val in zip(masks, cert.phis):
+            if not val < c:
+                for part in found:
+                    if part & ~q == 0:
+                        qualifying[part] = False
 
 
 def _attach_zero_weight_nodes(
@@ -347,11 +432,12 @@ def find_partition(
 ) -> PartitionCertificate | None:
     """Search for a partition into k positive-weight classes, each phi < c.
 
-    k=1 is trivially valid (there is no cut to measure).  Exact mode
-    enumerates set partitions of the positive-weight nodes via restricted
-    growth strings (cap EXACT_SET_PARTITION_CAP); None is then a proof of
-    non-partitionability.  Heuristic None proves nothing.  Every returned
-    certificate has been re-verified by direct phi evaluation.
+    k=1 is trivially valid (there is no cut to measure).  Exact mode finds
+    a largest partition of the positive-weight nodes with the subset phi
+    table and the submask DP (cap EXACT_SET_PARTITION_CAP), then merges its
+    classes down to k; None is then a proof of non-partitionability.
+    Heuristic None proves nothing.  Every returned certificate has been
+    re-verified by direct phi evaluation.
     """
     w = _check_weights(g, w)
     if c <= 0:
@@ -362,23 +448,10 @@ def find_partition(
         if float(w.sum()) <= 0:
             return None
         return _certify(g, w, [list(range(g.n))], c)
-    pos = [i for i in range(g.n) if w[i] > 0]
-    if len(pos) < k:
+    if int(np.count_nonzero(w > 0)) < k:
         return None
     if mode == "exact":
-        if len(pos) > EXACT_SET_PARTITION_CAP:
-            raise ExactCapExceeded(
-                f"{len(pos)} positive-weight nodes exceed set-partition cap "
-                f"{EXACT_SET_PARTITION_CAP}"
-            )
-        for rgs in _restricted_growth_strings(len(pos), k):
-            classes: list[list[int]] = [[] for _ in range(k)]
-            for idx, block in enumerate(rgs):
-                classes[block].append(pos[idx])
-            cert = _certify(g, w, _attach_zero_weight_nodes(g, w, classes), c)
-            if cert.valid:
-                return cert
-        return None
+        return _exact_partition(g, w, c, k)
     if mode != "heuristic":
         raise ExpansionError(f"unknown mode {mode!r}")
     return _heuristic_partition(g, w, k, c, budget)
@@ -476,15 +549,22 @@ def max_partitionable(
     """Largest k with a valid (k,c)-partition under the given mode.
 
     (k,c)-partitionability is downward closed (merging two classes keeps
-    every phi below c), so the first failing k ends the search.  Heuristic
-    mode therefore yields a lower bound rather than the true maximum.
+    every phi below c).  Exact mode reads the largest partition from one
+    subset phi table and one submask DP.  Heuristic mode tries k = 1, 2, ...
+    until the first failure, and so yields a lower bound rather than the
+    true maximum.
     """
     w = _check_weights(g, w)
     if c <= 0:
         raise ExpansionError(f"threshold c must be positive, got {c}")
+    n_pos = int(np.count_nonzero(w > 0))
+    if mode == "exact" and n_pos >= 2:
+        cert = _exact_partition(g, w, c)
+        if cert is not None:
+            return len(cert.classes), cert
+        return 1, find_partition(g, w, 1, c)
     best_k = 0
     best_cert: PartitionCertificate | None = None
-    n_pos = int(np.count_nonzero(w > 0))
     for k in range(1, max(n_pos, 1) + 1):
         cert = find_partition(g, w, k, c, mode=mode, budget=budget)
         if cert is None:

@@ -133,9 +133,11 @@ def sign_support(y: np.ndarray, tau: float | None = None) -> SignSupport:
         tau = default_zero_tau(y)
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    pos = tuple(int(i) for i in np.flatnonzero(y > tau))
-    neg = tuple(int(i) for i in np.flatnonzero(y < -tau))
-    rest = tuple(i for i in range(len(y)) if i not in set(pos) and i not in set(neg))
+    is_pos = y > tau
+    is_neg = y < -tau
+    pos = tuple(int(i) for i in np.flatnonzero(is_pos))
+    neg = tuple(int(i) for i in np.flatnonzero(is_neg))
+    rest = tuple(int(i) for i in np.flatnonzero(~(is_pos | is_neg)))
     return SignSupport(positive=pos, negative=neg, zero=rest, tau=tau)
 
 

@@ -1,6 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nodal_expansion
 from nodal_expansion.expansion import (
     ExactCapExceeded,
     ExpansionError,
@@ -11,6 +20,7 @@ from nodal_expansion.expansion import (
     phi,
     sweep_cut,
 )
+from nodal_expansion.generators import gen_path
 from nodal_expansion.graph import build_graph, induced_subgraph
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 from nodal_expansion.graph import laplacian, sign_support
@@ -120,6 +130,19 @@ class TestIsExpander:
         with pytest.raises(ExactCapExceeded):
             is_expander(g, np.ones(21), 1.0)
 
+    def test_exact_cap_counts_positive_weights(self):
+        # the cap bounds the positive-weight nodes the table enumerates, not n
+        g = gen_path(25)
+        w = np.zeros(25)
+        w[[3, 4, 5]] = [1.0, 2.0, 0.5]
+        v = is_expander(g, w, 0.1, mode="exact")
+        assert v.mode == "exact" and v.is_expander
+        cuts = [[3], [4], [5], [3, 4], [3, 5], [4, 5]]
+        assert abs(v.min_phi - min(brute_phi(g, w, S) for S in cuts)) < 1e-12
+        w[:21] = 1.0
+        with pytest.raises(ExactCapExceeded):
+            is_expander(g, w, 0.1, mode="exact")
+
     def test_bad_threshold(self):
         with pytest.raises(ExpansionError):
             is_expander(k2(), np.array([1.0, 1.0]), 0.0)
@@ -145,6 +168,28 @@ class TestIsExpander:
         v = is_expander(p3(), ONES3, 1.1, mode="heuristic")
         assert not v.is_expander
         assert phi(p3(), ONES3, v.witness).phi < 1.1
+
+    def test_heuristic_witness_verified_under_optimize(self):
+        # `python -O` strips asserts; the witness check must still run
+        code = (
+            "import json, numpy as np\n"
+            "from nodal_expansion import build_graph, is_expander\n"
+            "g = build_graph(3, [(0, 1), (1, 2)])\n"
+            "v = is_expander(g, np.ones(3), 1.1, mode='heuristic')\n"
+            "print(json.dumps([__debug__, v.is_expander, v.witness]))\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(Path(nodal_expansion.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_dir] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        debug, verdict, witness = json.loads(out.stdout)
+        assert debug is False and verdict is False
+        assert phi(p3(), ONES3, witness).phi < 1.1
 
 
 class TestSweepCut:
@@ -257,6 +302,44 @@ class TestFindPartition:
         assert cert is not None and cert.valid
         for cls, val in zip(cert.classes, cert.phis):
             assert abs(phi(p4(), np.ones(4), cls).phi - val) < 1e-12
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """Graphs of at most 6 nodes whose weights include zeros."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    w = np.array([draw(weight) for _ in range(n)])
+    return build_graph(n, edges), w
+
+
+class TestExactEngineProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_weighted_graphs(), st.floats(0.05, 3.0))
+    def test_matches_brute_force(self, gw, c):
+        g, w = gw
+        truth = [brute_is_partitionable(g, w, k, c) for k in range(1, g.n + 1)]
+        for k, expected in enumerate(truth, start=1):
+            cert = find_partition(g, w, k, c)
+            assert (cert is not None) == expected
+            if cert is not None:
+                assert cert.valid and len(cert.classes) == k
+        k_max, cert = max_partitionable(g, w, c)
+        assert k_max == max((k for k, t in enumerate(truth, 1) if t), default=0)
+        if k_max:
+            assert cert.valid and len(cert.classes) == k_max
+
+    def test_path12_at_cap(self):
+        g = gen_path(12)
+        w = np.ones(12)
+        k_max, _ = max_partitionable(g, w, 0.7)
+        assert k_max >= 2
+        for k in range(1, k_max + 1):
+            cert = find_partition(g, w, k, 0.7)
+            assert cert is not None and cert.valid and len(cert.classes) == k
+        assert find_partition(g, w, k_max + 1, 0.7) is None
 
 
 class TestMaxPartitionable:
