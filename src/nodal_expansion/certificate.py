@@ -23,6 +23,7 @@ explicit tolerance and slack:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -269,18 +270,22 @@ def class_expansions(
     g: Graph, w: np.ndarray, p: ProofObjects
 ) -> list[float | None]:
     """Per-class expansion computed inside each class's own support subgraph.
-    None marks a class covering its entire side (expansion undefined)."""
-    supp = sign_support(p.y)
+    None marks a class covering its entire side (expansion undefined).
+
+    A side's support is the union of its classes, which
+    `build_proof_objects` has checked to cover it exactly."""
     out: list[float | None] = []
-    for i, cls in enumerate(p.parts):
-        side_nodes = supp.positive if i < p.a else supp.negative
-        if set(cls) == set(side_nodes):
+    for side in (p.parts[: p.a], p.parts[p.a:]):
+        if not side:
+            continue
+        if len(side) == 1:
             out.append(None)
             continue
-        sub = induced_subgraph(g, side_nodes)
+        sub = induced_subgraph(g, itertools.chain.from_iterable(side))
         inv = {parent: s for s, parent in enumerate(sub.to_parent)}
-        w_sub = np.array([w[parent] for parent in sub.to_parent])
-        out.append(xp.phi(sub.graph, w_sub, [inv[i] for i in cls]).phi)
+        w_sub = w[list(sub.to_parent)]
+        for cls in side:
+            out.append(xp.phi(sub.graph, w_sub, [inv[i] for i in cls]).phi)
     return out
 
 
@@ -500,14 +505,15 @@ def verify_corollary1(g: Graph, budget: int = xp.DEFAULT_BUDGET) -> CorollaryRep
     (lambda_3 - lambda_2)/2-expanders with respect to the squared entries."""
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
-    d = eigendecompose(laplacian(g))
+    L = laplacian(g)
+    d = eigendecompose(L)
     sel = select_eigenpair(d, 2)
     y = sel.y
     w = y * y
     c = spectral_gap_c(d, 2)
     supp = sign_support(y)
     flags = []
-    tol = default_tolerance(laplacian(g))
+    tol = default_tolerance(L)
     if c <= tol:
         flags.append("degenerate_gap")
     # strict threshold minus tolerance: phi == c must not read as a violation
@@ -561,14 +567,18 @@ def verify_prop_sum(
         raise CertificateError(f"a+b={a + b} must equal k+1={k + 1}")
     p = build_proof_objects(g, k, pos_classes, neg_classes)
     build_C(p)
+    return _prop_sum_check(p, class_expansions(g, p.w, p))
+
+
+def _prop_sum_check(p: ProofObjects, phis: list[float | None]) -> CheckRecord:
+    """The `verify_prop_sum` check on built proof objects with a+b = k+1,
+    p.C built, and `phis` from `class_expansions`."""
     tol = p.tolerance
-    phis = class_expansions(g, p.w, p)
     flags = tuple(
         f"class_{i}_covers_whole_side" for i, v in enumerate(phis) if v is None
     )
     phi_sum = float(sum(v for v in phis if v is not None))
-    d = eigendecompose(laplacian(g))
-    gap = float(d.values[a + b - 1] - d.values[a + b - 2])
+    gap = p.lambda_k1 - p.lambda_k  # lambda_{a+b} - lambda_{a+b-1}
     mu_top = float(p.mu[-1])
     trace_C = float(np.trace(p.C))
     margins = [

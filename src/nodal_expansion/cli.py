@@ -2,8 +2,9 @@
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure (theorem / corollary / proof-step violation),
-2 usage or input error.  Floats are printed with 12 significant digits so
-identical invocations produce byte-identical output.
+2 usage or input error, 3 a valid input beyond an exact-search cap.  Floats
+are printed with 12 significant digits so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .spectral import eigendecompose, select_eigenpair, spectral_gap_c
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CAP = 3
 
 
 def fmt(x: float) -> str:
@@ -114,8 +116,8 @@ def cmd_verify_proof(args) -> int:
     g = fileio.read_edge_list(args.file)
     pos = fileio.read_partition(args.pos)
     neg = fileio.read_partition(args.neg)
-    p = ct.build_proof_objects(g, args.k, pos, neg)
     d = eigendecompose(laplacian(g))
+    p = ct.build_proof_objects(g, args.k, pos, neg, decomposition=d)
     checks = [
         ct.check_B_sign_pattern(p),
         ct.check_Bz_zero(p),
@@ -128,8 +130,8 @@ def cmd_verify_proof(args) -> int:
         checks.append(ct.check_CminusB_psd(p))
         if p.c is not None and all(v is None or v < p.c for v in phis):
             checks.append(ct.check_lambda_max_C(p, phis))
-    if p.a + p.b == args.k + 1:
-        checks.append(ct.verify_prop_sum(g, args.k, pos, neg))
+        if p.a + p.b == args.k + 1:
+            checks.append(ct._prop_sum_check(p, phis))
     emit_json({"k": args.k, "a": p.a, "b": p.b, "checks": [c.as_dict() for c in checks]})
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
@@ -318,6 +320,11 @@ def run(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except xp.ExactCapExceeded as e:
+        # a valid input too large for a proof, not a usage error
+        hint = "; --mode heuristic gives a lower bound" if hasattr(args, "mode") else ""
+        print(f"error: {e}{hint}", file=sys.stderr)
+        return EXIT_CAP
     except (FileNotFoundError, fileio.ParseError, GraphError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

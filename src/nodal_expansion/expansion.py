@@ -9,6 +9,14 @@ defined whenever 0 < w(S) < w(V).  The crossing sum runs over edges only;
 nodes of zero weight contribute nothing to either side of the ratio, so
 exact searches enumerate over the positive-weight nodes.
 
+Every direct evaluation of phi (`phi` itself, certificate checks, the
+heuristic's greedy moves) goes through one kernel on a boolean membership
+mask, with a fixed summation order: w(S) and w(V \\ S) are each summed
+directly in node-index order, the crossing terms in edge order, all three
+strictly left to right.  The last bits of phi therefore do not depend on
+which caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
+comparisons against c and between candidate moves are reproducible.
+
 Exact mode rests on one table: phi of every subset of the p positive-weight
 nodes, built by a vectorized bit-matrix sweep.  The smallest entry decides
 `is_expander`.  A dynamic program over submasks reads from the table the
@@ -87,25 +95,63 @@ def _check_weights(g: Graph, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _seq_sum(x: np.ndarray) -> float:
+    """Left-to-right sum; np.sum's pairwise order would change the last bits."""
+    return float(np.add.accumulate(x)[-1]) if len(x) else 0.0
+
+
+def _edge_terms(g: Graph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint arrays and the crossing term sqrt(w_u w_v) of every edge."""
+    us, vs = g.edge_arrays()
+    return us, vs, np.sqrt(w[us] * w[vs])
+
+
+def _cut_value(
+    w: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    sqrt_e: np.ndarray,
+    in_s: np.ndarray,
+) -> tuple[float, float, float]:
+    """(crossing sum, w(S), w(V \\ S)) for the set marked by the boolean mask
+    in_s, each summed sequentially in edge or node order."""
+    num = _seq_sum(sqrt_e[in_s[us] != in_s[vs]])
+    return num, _seq_sum(w[in_s]), _seq_sum(w[~in_s])
+
+
+def _mask_phi(
+    w: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    sqrt_e: np.ndarray,
+    in_s: np.ndarray,
+) -> float:
+    """phi of the masked set, or inf where it is undefined."""
+    num, w_s, w_rest = _cut_value(w, us, vs, sqrt_e, in_s)
+    if w_s <= 0 or w_rest <= 0:
+        return np.inf
+    return num / min(w_s, w_rest)
+
+
 def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
-    """Expansion of S; raises UndefinedCut unless 0 < w(S) < w(V)."""
+    """Expansion of S; raises UndefinedCut unless 0 < w(S) < w(V).
+
+    Both weights are summed directly in node order (w(V \\ S) is not taken
+    as w(V) - w(S)) and the crossing terms in edge order, so
+    phi(S) == phi(V \\ S) holds exactly in floating point.
+    """
     w = _check_weights(g, w)
-    sel = set(int(i) for i in S)
-    for i in sel:
+    in_s = np.zeros(g.n, dtype=bool)
+    for i in S:
+        i = int(i)
         if not 0 <= i < g.n:
             raise ExpansionError(f"node {i} outside [0,{g.n})")
-    # complement weight summed directly (not total - w_s) so that
-    # phi(S) == phi(V \ S) holds exactly in floating point
-    w_s = float(sum(w[i] for i in range(g.n) if i in sel))
-    w_rest = float(sum(w[i] for i in range(g.n) if i not in sel))
+        in_s[i] = True
+    num, w_s, w_rest = _cut_value(w, *_edge_terms(g, w), in_s)
     if w_s <= 0 or w_rest <= 0:
         raise UndefinedCut(
             f"w(S)={w_s} must lie strictly between 0 and w(V)={w_s + w_rest}"
         )
-    num = 0.0
-    for u, v in g.edges:
-        if (u in sel) != (v in sel):
-            num += float(np.sqrt(w[u] * w[v]))
     return CutValue(numerator=num, denominator=min(w_s, w_rest))
 
 
@@ -403,22 +449,17 @@ def _certify(
         return PartitionCertificate(
             classes=(tuple(sorted(classes[0])),), phis=(), c=c, valid=valid
         )
+    terms = _edge_terms(g, w)
     phis = []
-    valid = True
     for cls in classes:
-        if float(sum(w[i] for i in cls)) <= 0:
-            valid = False
-            phis.append(np.inf)
-            continue
-        val = phi(g, w, cls).phi
-        phis.append(val)
-        if not val < c:
-            valid = False
+        in_s = np.zeros(g.n, dtype=bool)
+        in_s[cls] = True
+        phis.append(_mask_phi(w, *terms, in_s))
     return PartitionCertificate(
         classes=tuple(tuple(sorted(cls)) for cls in classes),
         phis=tuple(float(p) for p in phis),
         c=c,
-        valid=valid,
+        valid=all(val < c for val in phis),
     )
 
 
@@ -505,37 +546,37 @@ def _greedy_move(
     g: Graph, w: np.ndarray, classes: list[list[int]], c: float
 ) -> bool:
     """Move one boundary node between classes if it lowers the worst phi.
-    Mutates `classes`; returns whether a move was made."""
-    assign = {}
+
+    `classes` are sorted lists that partition the nodes.  Edges are scanned
+    in order, each endpoint in turn, and the first move whose worst class
+    phi falls strictly below the current worst is made.  A trial move
+    re-evaluates only the two classes it touches; the others keep the phi
+    computed once up front.  Mutates `classes`; returns whether a move was
+    made."""
+    terms = _edge_terms(g, w)
+    label = np.empty(g.n, dtype=int)
     for ci, cls in enumerate(classes):
-        for i in cls:
-            assign[i] = ci
+        label[cls] = ci
 
-    def worst() -> float:
-        vals = []
-        for cls in classes:
-            if not cls or float(sum(w[i] for i in cls)) <= 0:
-                return np.inf
-            try:
-                vals.append(phi(g, w, cls).phi)
-            except UndefinedCut:
-                return np.inf
-        return max(vals)
+    def class_phi(ci: int) -> float:
+        return _mask_phi(w, *terms, label == ci)
 
-    base = worst()
+    phis = [class_phi(ci) for ci in range(len(classes))]
+    base = max(phis)
     for u, v in g.edges:
         for a, b in ((u, v), (v, u)):
-            ca, cb = assign[a], assign[b]
+            ca, cb = int(label[a]), int(label[b])
             if ca == cb or len(classes[ca]) <= 1:
                 continue
-            classes[ca].remove(a)
-            classes[cb].append(a)
-            if worst() < base:
+            label[a] = cb
+            trial = list(phis)
+            trial[ca], trial[cb] = class_phi(ca), class_phi(cb)
+            if max(trial) < base:
+                classes[ca].remove(a)
+                classes[cb].append(a)
                 classes[cb].sort()
                 return True
-            classes[cb].remove(a)
-            classes[ca].append(a)
-            classes[ca].sort()
+            label[a] = ca
     return False
 
 

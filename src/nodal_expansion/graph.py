@@ -4,6 +4,7 @@ and eigenvector sign supports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,11 +64,19 @@ class Graph:
         return sorted(out)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index arrays (us, vs), empty int arrays for no edges."""
-        if not self.edges:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        e = np.array(self.edges, dtype=int)
-        return e[:, 0], e[:, 1]
+        """Read-only endpoint index arrays (us, vs) in edge order, shared by
+        every caller; empty int arrays for no edges."""
+        return self._edge_arrays
+
+    # cached_property writes to the instance __dict__, which the frozen
+    # dataclass allows and which its generated eq and hash ignore
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        e = np.array(self.edges, dtype=int).reshape(-1, 2)
+        us, vs = np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+        us.flags.writeable = False
+        vs.flags.writeable = False
+        return us, vs
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

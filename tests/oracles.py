@@ -23,6 +23,57 @@ def brute_phi(graph, w, S):
     return num / min(w_s, w.sum() - w_s)
 
 
+def sequential_cut(graph, w, S):
+    """(crossing sum, w(S), w(V \\ S)) with each sum taken one term at a
+    time: crossing terms in edge order, weights in node order."""
+    S = set(S)
+    num = 0.0
+    for u, v in graph.edges:
+        if (u in S) != (v in S):
+            num += float(np.sqrt(w[u] * w[v]))
+    w_s = w_rest = 0.0
+    for i in range(graph.n):
+        if i in S:
+            w_s += float(w[i])
+        else:
+            w_rest += float(w[i])
+    return num, w_s, w_rest
+
+
+def greedy_move_reference(graph, w, classes, c):
+    """One greedy single-node move that re-evaluates every class's phi for
+    each trial: scan edges in order, each endpoint in turn, and make the
+    first move whose worst class phi is strictly below the current worst.
+    Mutates `classes` (sorted lists partitioning the nodes); returns
+    whether a move was made."""
+    assign = {i: ci for ci, cls in enumerate(classes) for i in cls}
+
+    def worst():
+        vals = []
+        for cls in classes:
+            num, w_s, w_rest = sequential_cut(graph, w, cls)
+            if w_s <= 0 or w_rest <= 0:
+                return np.inf
+            vals.append(num / min(w_s, w_rest))
+        return max(vals)
+
+    base = worst()
+    for u, v in graph.edges:
+        for a, b in ((u, v), (v, u)):
+            ca, cb = assign[a], assign[b]
+            if ca == cb or len(classes[ca]) <= 1:
+                continue
+            classes[ca].remove(a)
+            classes[cb].append(a)
+            if worst() < base:
+                classes[cb].sort()
+                return True
+            classes[cb].remove(a)
+            classes[ca].append(a)
+            classes[ca].sort()
+    return False
+
+
 def brute_min_phi(graph, w):
     """Minimum expansion over every subset with proper weight."""
     w = np.asarray(w, dtype=float)

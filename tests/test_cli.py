@@ -114,6 +114,40 @@ def test_verify_proof(capsys, p4_file, tmp_path):
     assert all(c["passed"] for c in res["checks"])
 
 
+def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
+    pos = tmp_path / "pos.txt"
+    neg = tmp_path / "neg.txt"
+    pos.write_text("0\n1\n")
+    neg.write_text("2 3\n")
+    calls = []
+    real = cli.eigendecompose
+
+    def spy(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(cli, "eigendecompose", spy)
+    monkeypatch.setattr(cli.ct, "eigendecompose", spy)
+    code, out = run_capture(
+        capsys,
+        ["verify-proof", p4_file, "--k", "2", "--pos", str(pos), "--neg", str(neg)],
+    )
+    assert code == 0
+    assert calls == [(4, 4)]
+    # the CLI's shared-object check agrees with the public entry point
+    (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "prop_sum"]
+    ref = cli.ct.verify_prop_sum(gen_path(4), 2, [[0], [1]], [[2, 3]])
+    assert rec == cli._round_floats(ref.as_dict())
+
+
+def test_exit_code_cap_exceeded(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    assert cli.run(["gen", "gnp", "20", "0.3", "--seed", "0", "-o", str(graph)]) == 0
+    assert cli.run(["analyze", str(graph), "--k", "2"]) == cli.EXIT_CAP == 3
+    err = capsys.readouterr().err
+    assert "cap 12" in err and "--mode heuristic" in err
+
+
 def test_demo_counterexample_small(capsys):
     code, out = run_capture(
         capsys,

@@ -14,6 +14,7 @@ from nodal_expansion.expansion import (
     ExactCapExceeded,
     ExpansionError,
     UndefinedCut,
+    _greedy_move,
     find_partition,
     is_expander,
     max_partitionable,
@@ -25,7 +26,13 @@ from nodal_expansion.graph import build_graph, induced_subgraph
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 from nodal_expansion.graph import laplacian, sign_support
 
-from oracles import brute_is_partitionable, brute_min_phi, brute_phi
+from oracles import (
+    brute_is_partitionable,
+    brute_min_phi,
+    brute_phi,
+    greedy_move_reference,
+    sequential_cut,
+)
 
 
 def k2():
@@ -100,6 +107,66 @@ class TestPhi:
             a = phi(g, w, [0, 2]).phi
             b = phi(g, t * w, [0, 2]).phi
             assert abs(a - b) <= 1e-12 * max(abs(a), 1)
+
+
+@st.composite
+def weighted_graphs_with_subset(draw):
+    """Graphs of at most 30 nodes, weights including zeros, and a subset."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+    w = np.array([draw(weight) for _ in range(n)])
+    S = [i for i in range(n) if draw(st.booleans())]
+    return build_graph(n, edges), w, S
+
+
+class TestCutKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs_with_subset())
+    def test_phi_matches_sequential_sums(self, gws):
+        g, w, S = gws
+        num, w_s, w_rest = sequential_cut(g, w, S)
+        if w_s <= 0 or w_rest <= 0:
+            with pytest.raises(UndefinedCut):
+                phi(g, w, S)
+            return
+        cut = phi(g, w, S)
+        assert cut.numerator == num  # bit for bit, not within a tolerance
+        assert cut.denominator == min(w_s, w_rest)
+        rest = phi(g, w, sorted(set(range(g.n)) - set(S)))
+        assert rest.numerator == cut.numerator
+        assert rest.denominator == cut.denominator
+
+    def test_greedy_move_matches_reference(self):
+        rng = np.random.default_rng(3)
+        moves = 0
+        for t in range(40):
+            n = int(rng.integers(4, 25))
+            g = build_graph(
+                n,
+                [
+                    (i, j)
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.random() < 0.25
+                ],
+            )
+            w = rng.random(n)
+            w[rng.random(n) < 0.2] = 0.0
+            k = int(rng.integers(2, 5))
+            labels = rng.integers(0, k, n)
+            classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
+            ref = [list(cls) for cls in classes]
+            for _ in range(20):
+                made = _greedy_move(g, w, classes, 0.5)
+                assert made == greedy_move_reference(g, w, ref, 0.5)
+                assert classes == ref
+                if not made:
+                    break
+                moves += 1
+        assert moves > 40  # the instances exercise the moves, not only "no move"
 
 
 class TestIsExpander:

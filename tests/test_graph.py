@@ -157,6 +157,21 @@ class TestWeights:
         )
 
 
+class TestCachedStructure:
+    def test_edge_arrays_read_only(self):
+        us, vs = p4().edge_arrays()
+        assert us.tolist() == [0, 1, 2] and vs.tolist() == [1, 2, 3]
+        with pytest.raises(ValueError):
+            us[0] = 3
+        with pytest.raises(ValueError):
+            vs[0] = 3
+
+    def test_cache_keeps_equality_and_hash(self):
+        g, h = p4(), p4()
+        g.edge_arrays()
+        assert g == h and hash(g) == hash(h)
+
+
 def test_connected_components():
     g = build_graph(5, [(0, 1), (2, 3)])
     assert connected_components(g) == [[0, 1], [2, 3], [4]]
