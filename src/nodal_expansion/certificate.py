@@ -19,6 +19,11 @@ explicit tolerance and slack:
   * C - B is diagonally dominant after symmetric scaling by diag(z), hence
     positive semidefinite, so mu_max <= lambda_max(C);
   * lambda_max(C) < 2c whenever every class expansion is below c.
+
+`build_proof_objects` builds C with B when there are two or more classes.
+`run_checks` runs the checks: B's sign pattern, B z = 0 and interlacing;
+with a + b >= 2, C's diagonal and C - B PSD; lambda_max(C) < 2c if k < n
+and every class expansion is below c; prop-sum if a + b = k + 1.
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ class ProofObjects:
     z: np.ndarray
     B: np.ndarray
     mu: np.ndarray
-    C: np.ndarray | None = None
+    C: np.ndarray | None = None  # None with fewer than two classes
     tolerance: float = 0.0
+    spectrum: SpectralDecomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -166,8 +172,10 @@ def build_proof_objects(
     neg_classes: Sequence[Sequence[int]],
     decomposition: SpectralDecomposition | None = None,
 ) -> ProofObjects:
-    """Assemble M, the split vectors, their norms z, and the matrix B for the
-    given partitions of the two supports of the k-th eigenvector."""
+    """Assemble M, the split vectors, their norms z, and the matrices B and
+    C for the given partitions of the two supports of the k-th eigenvector."""
+    if not 1 <= k <= g.n:
+        raise CertificateError(f"k={k} outside [1,{g.n}]")
     L = laplacian(g)
     d = decomposition if decomposition is not None else eigendecompose(L)
     sel = select_eigenpair(d, k)
@@ -191,7 +199,7 @@ def build_proof_objects(
     mu = np.linalg.eigvalsh(B)
     lam_k1 = float(d.values[k]) if k < d.n else None
     c = spectral_gap_c(d, k) if k < d.n else None
-    return ProofObjects(
+    p = ProofObjects(
         graph=g,
         k=k,
         lambda_k=lam,
@@ -208,7 +216,11 @@ def build_proof_objects(
         B=B,
         mu=mu,
         tolerance=default_tolerance(L),
+        spectrum=d,
     )
+    if len(parts) >= 2:
+        build_C(p)
+    return p
 
 
 def check_B_sign_pattern(p: ProofObjects) -> CheckRecord:
@@ -297,7 +309,7 @@ def check_C_diagonal(
     and the bound C_ii <= phi_i (the class's expansion in its support
     subgraph), hence < c for a valid certificate."""
     if p.C is None:
-        build_C(p)
+        raise CertificateError("C needs at least two classes")
     tol = p.tolerance
     flags: list[str] = []
     margins = [np.inf]
@@ -339,7 +351,7 @@ def check_CminusB_psd(p: ProofObjects) -> CheckRecord:
     row sums z_i * (E z)_i = 0; congruence by the invertible D carries its
     semidefiniteness back to E."""
     if p.C is None:
-        build_C(p)
+        raise CertificateError("C needs at least two classes")
     tol = p.tolerance
     E = p.C - p.B
     D = np.diag(p.z)
@@ -363,7 +375,7 @@ def check_lambda_max_C(p: ProofObjects, phis: Sequence[float | None]) -> CheckRe
     a+b = k+1 also verify the chain
     lambda_{k+1} - lambda_k <= mu_{a+b} <= lambda_max(C)."""
     if p.C is None:
-        build_C(p)
+        raise CertificateError("C needs at least two classes")
     if p.c is None:
         raise CertificateError("no upper eigenvalue: k = n has no gap")
     for i, v in enumerate(phis):
@@ -384,14 +396,22 @@ def check_lambda_max_C(p: ProofObjects, phis: Sequence[float | None]) -> CheckRe
     return CheckRecord("lambda_max_C", slack >= -tol, slack, tol, tuple(flags))
 
 
-def _map_cert_to_parent(
-    cert: xp.PartitionCertificate | None, sub
-) -> tuple[tuple[int, ...], ...]:
-    if cert is None:
-        return ()
-    return tuple(
-        tuple(sorted(sub.to_parent[i] for i in cls)) for cls in cert.classes
-    )
+def run_checks(p: ProofObjects) -> list[CheckRecord]:
+    """The proof-step checks that apply to `p`, in the module docstring's order."""
+    checks = [
+        check_B_sign_pattern(p),
+        check_Bz_zero(p),
+        check_interlacing(p, p.spectrum),
+    ]
+    if p.a + p.b >= 2:
+        phis = class_expansions(p.graph, p.w, p)
+        checks.append(check_C_diagonal(p, phis))
+        checks.append(check_CminusB_psd(p))
+        if p.c is not None and all(v is None or v < p.c for v in phis):
+            checks.append(check_lambda_max_C(p, phis))
+        if p.a + p.b == p.k + 1:
+            checks.append(_prop_sum_check(p, phis))
+    return checks
 
 
 def verify_theorem1(
@@ -437,25 +457,15 @@ def verify_theorem1(
             sides.append((0, ()))
             continue
         sub = induced_subgraph(g, nodes)
-        w_sub = np.array([w[parent] for parent in sub.to_parent])
         k_side, cert = xp.max_partitionable(
-            sub.graph, w_sub, c_search, mode=mode, budget=budget
+            sub.graph, w[list(sub.to_parent)], c_search, mode=mode, budget=budget
         )
-        sides.append((k_side, _map_cert_to_parent(cert, sub)))
+        classes = () if cert is None else cert.classes
+        sides.append((k_side, tuple(sub.to_parent_set(cls) for cls in classes)))
     (a, pos_cls), (b, neg_cls) = sides
     checks: list[CheckRecord] = []
     if a + b >= 1:
-        p = build_proof_objects(g, k, pos_cls, neg_cls, decomposition=d)
-        checks.append(check_B_sign_pattern(p))
-        checks.append(check_Bz_zero(p))
-        checks.append(check_interlacing(p, d))
-        if a + b >= 2:
-            build_C(p)
-            phis = class_expansions(g, w, p)
-            checks.append(check_C_diagonal(p, phis))
-            checks.append(check_CminusB_psd(p))
-            if all(v is None or v < c for v in phis):
-                checks.append(check_lambda_max_C(p, phis))
+        checks = run_checks(build_proof_objects(g, k, pos_cls, neg_cls, decomposition=d))
     return TheoremReport(
         graph=g, k=k, values=d.values, c=c, a=a, b=b,
         a_plus_b_le_k=a + b <= k, mode=mode, checks=checks,
@@ -525,7 +535,7 @@ def verify_corollary1(g: Graph, budget: int = xp.DEFAULT_BUDGET) -> CorollaryRep
             flags.append("empty_support")
             continue
         sub = induced_subgraph(g, nodes)
-        w_sub = np.array([w[parent] for parent in sub.to_parent])
+        w_sub = w[list(sub.to_parent)]
         if c_test <= 0:
             verdicts.append(None)
             continue
@@ -566,13 +576,12 @@ def verify_prop_sum(
     if a + b != k + 1:
         raise CertificateError(f"a+b={a + b} must equal k+1={k + 1}")
     p = build_proof_objects(g, k, pos_classes, neg_classes)
-    build_C(p)
     return _prop_sum_check(p, class_expansions(g, p.w, p))
 
 
 def _prop_sum_check(p: ProofObjects, phis: list[float | None]) -> CheckRecord:
-    """The `verify_prop_sum` check on built proof objects with a+b = k+1,
-    p.C built, and `phis` from `class_expansions`."""
+    """The `verify_prop_sum` check on built proof objects with a+b = k+1
+    and `phis` from `class_expansions`."""
     tol = p.tolerance
     flags = tuple(
         f"class_{i}_covers_whole_side" for i, v in enumerate(phis) if v is None

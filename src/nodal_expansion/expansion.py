@@ -516,13 +516,13 @@ def _heuristic_partition(
             if len(cls) < 2:
                 continue
             sub = induced_subgraph(g, cls)
-            w_sub = np.array([w[p] for p in sub.to_parent])
+            w_sub = w[list(sub.to_parent)]
             try:
                 order = _fiedler_order(sub.graph, w_sub)
                 S, _ = sweep_cut(sub.graph, w_sub, order)
             except ExpansionError:
                 continue
-            part_a = sorted(sub.to_parent[i] for i in S)
+            part_a = list(sub.to_parent_set(S))
             part_b = sorted(set(cls) - set(part_a))
             classes[ci] = part_a
             classes.append(part_b)

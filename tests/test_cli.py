@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from nodal_expansion import cli
 from nodal_expansion import fileio
-from nodal_expansion.generators import gen_path
+from nodal_expansion.generators import gen_gnp, gen_path
+from nodal_expansion.graph import is_connected
 
 
 @pytest.fixture
@@ -140,6 +142,51 @@ def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
     assert rec == cli._round_floats(ref.as_dict())
 
 
+def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):
+    # both entry points run the same check sequence on the same partition
+    ct = cli.ct
+    graph, pos, neg = (str(tmp_path / f) for f in ("g.txt", "pos.txt", "neg.txt"))
+    seen = set()
+    for seed in range(12):
+        g = gen_gnp(9, 0.5, seed)
+        if not is_connected(g):
+            continue
+        fileio.write_edge_list(g, graph)
+        for k in (2, 3, 4):
+            report = ct.verify_theorem1(g, k)
+            if report.degenerate_gap_flag:
+                continue
+            fileio.write_partition(report.pos_classes, pos)
+            fileio.write_partition(report.neg_classes, neg)
+            code, out = run_capture(
+                capsys, ["verify-proof", graph, "--k", str(k), "--pos", pos, "--neg", neg]
+            )
+            res = json.loads(out)
+            assert code == 0
+            assert (res["a"], res["b"]) == (report.a, report.b)
+            assert res["checks"] == cli._round_floats([c.as_dict() for c in report.checks])
+            seen.update(c["name"] for c in res["checks"])
+            # C is built with the proof objects exactly when it exists
+            p = ct.build_proof_objects(g, k, report.pos_classes, report.neg_classes)
+            assert (p.C is not None) == (p.a + p.b >= 2)
+            if p.C is not None:
+                C = p.C
+                assert np.array_equal(C, ct.build_C(p))
+    assert "lambda_max_C" in seen and "CminusB_psd" in seen
+    # one class: no C, so the checks that need it refuse
+    g = gen_path(4)
+    p = ct.build_proof_objects(g, 1, [range(4)], [])
+    assert p.C is None
+    with pytest.raises(ct.CertificateError):
+        ct.check_C_diagonal(p, [None])
+    with pytest.raises(ct.CertificateError):
+        ct.check_CminusB_psd(p)
+    with pytest.raises(ct.CertificateError):
+        ct.check_lambda_max_C(p, [None])
+    with pytest.raises(ct.CertificateError):
+        ct.build_C(p)
+
+
 def test_exit_code_cap_exceeded(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     assert cli.run(["gen", "gnp", "20", "0.3", "--seed", "0", "-o", str(graph)]) == 0
@@ -166,13 +213,27 @@ def test_batch_verify_small(capsys):
     assert "violations: 0" in out
 
 
-def test_exit_code_usage_errors(capsys):
+def test_exit_code_usage_errors(capsys, p4_file, tmp_path):
     assert cli.run(["spectrum", "/nonexistent/file.txt"]) == 2
     capsys.readouterr()
     assert cli.run(["analyze", "--bogus-flag"]) == 2
     capsys.readouterr()
     assert cli.run(["gen", "nosuchfamily", "3"]) == 2
     capsys.readouterr()
+    pos = tmp_path / "pos.txt"
+    neg = tmp_path / "neg.txt"
+    pos.write_text("0 1\n")
+    neg.write_text("2 3\n")
+    parts = ["--pos", str(pos), "--neg", str(neg)]
+    for argv in (
+        ["verify-proof", p4_file, "--k", "9", *parts],
+        ["verify-proof", p4_file, "--k", "0", *parts],
+        ["expander-check", p4_file, "--c", "0.5", "--eigvec", "0"],
+        ["partition", p4_file, "--k", "2", "--c", "0.5", "--eigvec", "7"],
+        ["gen", "gnp", "20"],
+    ):
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_exit_code_check_failure(capsys, p4_file, monkeypatch):
