@@ -173,11 +173,14 @@ def build_proof_objects(
     decomposition: SpectralDecomposition | None = None,
 ) -> ProofObjects:
     """Assemble M, the split vectors, their norms z, and the matrices B and
-    C for the given partitions of the two supports of the k-th eigenvector."""
+    C for the given partitions of the two supports of the k-th eigenvector.
+
+    `decomposition`, when given, must be the eigendecomposition of
+    laplacian(g); its matrix serves as L, so neither is built twice."""
     if not 1 <= k <= g.n:
         raise CertificateError(f"k={k} outside [1,{g.n}]")
-    L = laplacian(g)
-    d = decomposition if decomposition is not None else eigendecompose(L)
+    d = decomposition if decomposition is not None else eigendecompose(laplacian(g))
+    L = d.matrix
     sel = select_eigenpair(d, k)
     y, lam = sel.y, sel.lambda_k
     supp = sign_support(y)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 import numpy as np
@@ -124,29 +126,63 @@ def cmd_verify_proof(args) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
+# the parameters of each `gen` family: "i" an integer literal, "f" a finite
+# float; expander-path-expander's third, the path length, is optional
+_GEN_PARAMS = {
+    "path": "i",
+    "cycle": "i",
+    "complete": "i",
+    "gnp": "if",
+    "random_regular": "ii",
+    "expander_path_expander": "iii",
+}
+
+
+def _gen_params(family: str, texts: list[str]) -> list:
+    """The parameters of a `gen` family, parsed strictly; GenerationError on
+    a wrong count, a non-integer literal or a non-finite float."""
+    kinds = _GEN_PARAMS[family]
+    least = 2 if family == "expander_path_expander" else len(kinds)
+    if not least <= len(texts) <= len(kinds):
+        count = f"{least} or {len(kinds)}" if least < len(kinds) else str(least)
+        raise gen.GenerationError(
+            f"{family.replace('_', '-')} takes {count} parameters, got {len(texts)}"
+        )
+    out = []
+    for kind, text in zip(kinds, texts):
+        if kind == "i":
+            if not re.fullmatch(r"[+-]?[0-9]+", text):
+                raise gen.GenerationError(f"expected an integer, got {text!r}")
+            out.append(int(text))
+            continue
+        try:
+            x = float(text)
+        except ValueError:
+            raise gen.GenerationError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(x):
+            raise gen.GenerationError(f"expected a finite number, got {text!r}")
+        out.append(x)
+    return out
+
+
 def cmd_gen(args) -> int:
     family = args.family.replace("-", "_")
-    params = [int(x) if float(x) == int(float(x)) else float(x) for x in args.params]
-    needed = 2 if family in ("gnp", "random_regular", "expander_path_expander") else 1
-    if len(params) < needed:
-        raise gen.GenerationError(f"{args.family} needs {needed} parameters")
+    params = _gen_params(family, args.params)
     if family == "path":
-        g = gen.gen_path(int(params[0]))
+        g = gen.gen_path(*params)
     elif family == "cycle":
-        g = gen.gen_cycle(int(params[0]))
+        g = gen.gen_cycle(*params)
     elif family == "complete":
-        g = gen.gen_complete(int(params[0]))
+        g = gen.gen_complete(*params)
     elif family == "gnp":
-        g = gen.gen_gnp(int(params[0]), float(params[1]), args.seed)
+        g = gen.gen_gnp(*params, args.seed)
     elif family == "random_regular":
-        g = gen.gen_random_regular(int(params[0]), int(params[1]), args.seed)
-    elif family == "expander_path_expander":
-        path_len = int(params[2]) if len(params) > 2 else None
-        g = gen.gen_expander_path_expander(
-            int(params[0]), int(params[1]), path_len, args.seed
-        )
+        g = gen.gen_random_regular(*params, args.seed)
     else:
-        raise gen.GenerationError(f"unknown family {args.family!r}")
+        n_block, d, *path_len = params
+        g = gen.gen_expander_path_expander(
+            n_block, d, path_len[0] if path_len else None, args.seed
+        )
     text = fileio.format_edge_list(g)
     if args.output:
         with open(args.output, "w") as f:

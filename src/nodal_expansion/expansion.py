@@ -10,21 +10,32 @@ nodes of zero weight contribute nothing to either side of the ratio, so
 exact searches enumerate over the positive-weight nodes.
 
 Every direct evaluation of phi (`phi` itself, certificate checks, the
-heuristic's greedy moves) goes through one kernel on a boolean membership
-mask, with a fixed summation order: w(S) and w(V \\ S) are each summed
-directly in node-index order, the crossing terms in edge order, all three
-strictly left to right.  The last bits of phi therefore do not depend on
-which caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
+heuristic's greedy moves, the exact engine's confirmations) follows one
+summation order on a boolean membership mask: w(S) and w(V \\ S) are each
+summed in node-index order, the crossing terms in edge order, all three
+strictly left to right.  `_cut_value` does this for one set; `_cut_values`
+does it for a stack of sets, with +0.0 in place of the terms left out, which
+gives the same bits.  The last bits of phi therefore do not depend on which
+caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
 comparisons against c and between candidate moves are reproducible.
 
 Exact mode rests on one table: phi of every subset of the p positive-weight
-nodes, built by a vectorized bit-matrix sweep.  The smallest entry decides
-`is_expander`.  A dynamic program over submasks reads from the table the
-largest partition into classes of phi below c, which serves
+nodes, built by doubling.  Bit j takes the masks [2^j, 2^(j+1)) from the
+masks [0, 2^j) by adding w_j, the weighted degree deg_j, and t_j(m), the
+edge weight from node j into m; then cut = dsum - 2*inner.  Next to each
+entry the table carries a rounding bound, after the gamma_k bounds of
+Higham (Accuracy and Stability of Numerical Algorithms, 2002), that covers
+both its own arithmetic and the kernel's sequential sums.  Table values only
+screen and are never reported: every entry that can decide an outcome (a
+possible minimum, or an entry within its bound of c) is evaluated again by
+the kernel, and the kernel's value decides.  The smallest kernel value
+decides `is_expander`, whose witness is the lowest mask among the kernel
+minima; the kernel stops as soon as no set left can fall below the best
+value found.  A dynamic program over submasks reads from the screened table
+the largest partition into classes of phi below c, which serves
 `max_partitionable` and `find_partition`.  The table costs 2^p work and the
-partition DP up to 3^p, so each has its own cap on p:
-EXACT_BIPARTITION_CAP for the table alone, EXACT_SET_PARTITION_CAP where the
-DP runs too.
+partition DP up to 3^p, so each has its own cap on p: EXACT_BIPARTITION_CAP
+for the table alone, EXACT_SET_PARTITION_CAP where the DP runs too.
 """
 
 from __future__ import annotations
@@ -41,7 +52,13 @@ EXACT_BIPARTITION_CAP = 20
 EXACT_SET_PARTITION_CAP = 12
 DEFAULT_BUDGET = 1000
 
-_CHUNK = 1 << 15
+# unit roundoff of float64, and an absolute term for the divisions, whose
+# results may fall into gradual underflow
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNDERFLOW = 4 * np.finfo(float).smallest_subnormal
+# the kernel runs on blocks of at most this many mask-by-node or mask-by-edge
+# entries
+_BLOCK = 1 << 22
 
 
 class ExpansionError(ValueError):
@@ -119,6 +136,29 @@ def _cut_value(
     return num, _seq_sum(w[in_s]), _seq_sum(w[~in_s])
 
 
+def _cut_values(
+    w: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    sqrt_e: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_cut_value` for each row of a stack of boolean masks, bit for bit.
+    Each sum runs left to right over all edges or all nodes, and the terms
+    that do not belong enter as +0.0, which leaves a sum of nonnegative
+    terms unchanged.
+
+    This serves batches of sets.  For one set it is about twice as slow as
+    `_cut_value`: with the greedy moves and certificate checks run through
+    it, the heuristic-large benchmark lost a fifth of its throughput."""
+
+    def seq_sums(x: np.ndarray) -> np.ndarray:
+        return np.add.accumulate(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
+
+    num = seq_sums(np.where(rows[:, us] != rows[:, vs], sqrt_e, 0.0))
+    return num, seq_sums(np.where(rows, w, 0.0)), seq_sums(np.where(rows, 0.0, w))
+
+
 def _mask_phi(
     w: np.ndarray,
     us: np.ndarray,
@@ -155,68 +195,132 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     return CutValue(numerator=num, denominator=min(w_s, w_rest))
 
 
-def _phi_table(g: Graph, w: np.ndarray, pos: list[int]) -> np.ndarray:
-    """phi of every subset of the positive-weight nodes `pos`, indexed by
-    bitmask (bit j stands for pos[j]); inf for the empty and the full set.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): a sum of k + 1 nonnegative floats,
+    in any order, is within gamma_k of its exact value, relatively."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
 
-    One vectorized sweep over the bitmasks of the subsets that leave out
-    pos[0], in chunks of _CHUNK masks so that memory stays bounded.  Each
-    complement gets the same value, so phi(S) == phi(V \\ S) holds exactly
-    in the table as it does in `phi`.
+
+def _positive_terms(
+    g: Graph, w: np.ndarray, pos: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, edge endpoints (as indices into `pos`) and crossing terms of
+    the subgraph on the positive-weight nodes `pos`.  The kernel gives the
+    same bits on these as on the whole graph: the nodes and edges left out
+    only add +0.0 to its sums."""
+    us, vs, sqrt_e = _edge_terms(g, w)
+    local = np.full(g.n, -1)
+    local[pos] = np.arange(len(pos))
+    keep = (local[us] >= 0) & (local[vs] >= 0)
+    return w[pos], local[us[keep]], local[vs[keep]], sqrt_e[keep]
+
+
+def _phi_table(
+    g: Graph, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The half table: phi of every subset of the positive-weight nodes pos
+    (whose `_positive_terms` are `terms`) that leaves out pos[0], with inf
+    for the empty set; and a bound on the distance from each entry to the
+    kernel's value of the same set.  Entry i is the set of bitmask 2i (bit
+    j stands for pos[j]); its complement, the odd mask 2^p - 1 - 2i, has
+    the same phi.
+
+    The half table is built by doubling over the nodes of pos[1:], O(2^p)
+    per pass: node j extends every mask m of the nodes before it by w_j,
+    the weighted degree deg_j and t_j(m), the edge weight from node j into
+    m.  The t_j are themselves rows of the doubling, one per node not yet
+    added, and each row is dropped once it is used.  This gives w(S),
+    dsum(S) and inner(S), the weight of the edges inside S, for every mask;
+    then cut = dsum - 2*inner, and w(V \\ S) is w(pos[0]) plus the weight of
+    the complementary mask, not w(V) - w(S).
+
+    The bound is 8 gamma_K (dsum + 2 inner) / min(w(S), w(V \\ S)), plus an
+    absolute term for underflow, with K = m + 2n + 2 counting every rounding
+    that any sum on either side passes through.  The table's value and the
+    kernel's each lie within about 3 gamma_K times that ratio of the exact
+    phi of the same float edge terms.  The ratio has dsum + 2*inner, not
+    cut, on top because dsum - 2*inner cancels.
     """
-    p = len(pos)
-    free = pos[1:]  # pos[0] pinned outside S
-    col = {node: j for j, node in enumerate(free)}
-    w_free = w[free]
-    total = float(w[pos].sum())
+    w_pos, us, vs, sqrt_e = terms
+    p = len(w_pos)
+    A = np.zeros((p, p))
+    A[us, vs] = sqrt_e
+    A[vs, us] = sqrt_e
 
-    us, vs = g.edge_arrays()
-    keep = (w[us] > 0) & (w[vs] > 0)
-    us, vs = us[keep], vs[keep]
-    sqrt_e = np.sqrt(w[us] * w[vs])
-    # column p-1 is a sentinel always-False column for the pinned node
-    cu = np.array([col.get(int(u), p - 1) for u in us], dtype=int)
-    cv = np.array([col.get(int(v), p - 1) for v in vs], dtype=int)
+    # Rows: inner(m), w(m), dsum(m), then the edge weight from pos[j] into
+    # m for j = p-1 down to 1, over the masks m of the free nodes pos[1:]
+    # with pos[0] pinned outside S; free bit b stands for pos[b + 1].
+    # Column b of `step` is what setting bit b adds to each row; inner gains
+    # the row of pos[b + 1], the last one, which is then dropped.
+    step = np.zeros((p + 2, p - 1))
+    step[1] = w_pos[1:]
+    step[2] = A[1:p].sum(axis=1)
+    step[3:] = A[p - 1: 0: -1, 1:p]
+    rows = np.zeros((p + 2, 1))
+    for b in range(p - 1):
+        t, rows = rows[-1], rows[:-1]
+        rows = np.concatenate((rows, rows + step[: len(rows), b, None]), axis=1)
+        rows[0, 1 << b:] += t
+    inner, ws, dsum = rows
+    two_inner = 2.0 * inner
+    denom = np.minimum(ws, w_pos[0] + ws[::-1])
+    denom[0] = np.inf  # the empty set; its entry is set to inf below
+    half = (dsum - two_inner) / denom
+    err = (dsum + two_inner) / denom * (8.0 * _gamma(g.m + 2 * g.n + 2))
+    half[0], err[0] = np.inf, 0.0
+    return half, err + _UNDERFLOW
 
-    n_masks = 1 << (p - 1)
-    half = np.full(n_masks, np.inf)
-    shifts = np.arange(p - 1)
-    for start in range(1, n_masks, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, n_masks), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-        w_s = bits @ w_free
-        ok = (w_s > 0) & (w_s < total)
-        if not ok.any():
-            continue
-        bits_ext = np.concatenate(
-            [bits, np.zeros((len(masks), 1), dtype=bool)], axis=1
-        )
-        if len(cu):
-            num = (bits_ext[:, cu] ^ bits_ext[:, cv]) @ sqrt_e
-        else:
-            num = np.zeros(len(masks))
-        denom = np.minimum(w_s, total - w_s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half[start: start + len(masks)] = np.where(ok, num / denom, np.inf)
-    # subset mask (over `free`) i is full-table mask 2i; its complement is
-    # the odd mask 2^p - 1 - 2i
-    table = np.empty(2 * n_masks)
-    table[0::2] = half
-    table[1::2] = half[::-1]
-    return table
+
+def _subset_phis(
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    masks: np.ndarray,
+) -> np.ndarray:
+    """Kernel phi of each subset of the positive-weight nodes pos named by a
+    bitmask, bit for bit the value `phi` gives; in blocks of rows so that
+    memory stays bounded.  Every mask must name a nonempty set that leaves
+    out pos[0], so that both weights are positive."""
+    bits = np.arange(len(terms[0]))
+    step = max(1, _BLOCK // (len(terms[0]) + len(terms[1]) + 1))
+    out = np.empty(len(masks))
+    for start in range(0, len(masks), step):
+        rows = ((masks[start: start + step, None] >> bits) & 1).astype(bool)
+        num, w_s, w_rest = _cut_values(*terms, rows)
+        out[start: start + step] = num / np.minimum(w_s, w_rest)
+    return out
 
 
 def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Minimum phi over all bipartitions with 0 < w(S) < w(V), and the first
-    (hence lexicographically determined) minimizing positive-weight set
-    that leaves out the lowest positive-weight node."""
+    """Minimum kernel phi over all bipartitions with 0 < w(S) < w(V), and
+    the minimizing positive-weight set that leaves out the lowest
+    positive-weight node and has the lowest mask among the minimizers.
+
+    The table screens: no set's kernel value lies below its table value
+    minus its bound, nor below 0, and the table's minimum plus its bound
+    caps the answer.  The kernel evaluates the sets within that cap in
+    ascending mask order, in blocks that grow by 4; after each block only
+    the sets whose lower bound lies below the best kernel value found stay,
+    since a later set can at most tie it and loses the tie on its mask.  A
+    set at phi 0 therefore ends the search."""
     pos = [i for i in range(g.n) if w[i] > 0]
     if len(pos) < 2:
         raise UndefinedCut("fewer than two positive-weight nodes; no proper cut")
-    half = _phi_table(g, w, pos)[0::2]  # the subsets without pos[0]
+    terms = _positive_terms(g, w, pos)
+    half, err = _phi_table(g, terms)
+    lo = np.maximum(half - err, 0.0)
     i = int(np.argmin(half))
-    witness = tuple(node for j, node in enumerate(pos) if (2 * i) >> j & 1)
-    return float(half[i]), witness
+    cand = np.flatnonzero(lo <= half[i] + err[i])
+    best, best_i, size = np.inf, -1, 64
+    while len(cand):
+        block, cand = cand[:size], cand[size:]
+        vals = _subset_phis(terms, 2 * block)
+        j = int(np.argmin(vals))  # the first, so the lowest mask, among minima
+        if vals[j] < best:
+            best, best_i = vals[j], int(block[j])
+        cand = cand[lo[cand] < best]
+        size *= 4
+    witness = tuple(node for b, node in enumerate(pos) if 2 * best_i >> b & 1)
+    return float(best), witness
 
 
 def is_expander(
@@ -228,10 +332,13 @@ def is_expander(
 ) -> ExpanderVerdict:
     """Decide whether every proper-weight cut has phi >= c.
 
-    Exact mode takes the minimum of the subset phi table over the
-    positive-weight nodes (cap EXACT_BIPARTITION_CAP on their number) and is
-    a proof either way.  Heuristic mode runs sweep cuts and is a proof only
-    when it finds a witness.
+    Exact mode screens the subset phi table over the positive-weight nodes
+    (cap EXACT_BIPARTITION_CAP on their number) with its rounding bound, and
+    re-evaluates by the kernel every set that could still be the minimum.
+    `min_phi` is the kernel's minimum, so it equals phi(g, w, witness).phi
+    bit for bit; the witness is the lowest mask among the kernel minima.
+    It is a proof either way.  Heuristic mode runs sweep cuts and is a proof
+    only when it finds a witness.
     """
     w = _check_weights(g, w)
     if c <= 0:
@@ -367,15 +474,34 @@ def _largest_partition(qualifying: list[bool]) -> list[int]:
     return classes
 
 
+def _qualifying(g: Graph, w: np.ndarray, pos: list[int], c: float) -> list[bool]:
+    """Whether each subset of the positive-weight nodes `pos`, by bitmask,
+    has kernel phi below c.  The table decides where its value lies further
+    from c than its bound; the kernel decides every other set."""
+    terms = _positive_terms(g, w, pos)
+    half, err = _phi_table(g, terms)
+    below = half < c
+    near = np.flatnonzero(np.abs(half - c) <= err)
+    if len(near):
+        below[near] = _subset_phis(terms, 2 * near) < c
+    # each complement, the odd mask 2^p - 1 - 2i, goes with its set 2i
+    qualifying = np.empty(2 * len(below), dtype=bool)
+    qualifying[0::2] = below
+    qualifying[1::2] = below[::-1]
+    return qualifying.tolist()
+
+
 def _exact_partition(
     g: Graph, w: np.ndarray, c: float, k: int | None = None
 ) -> PartitionCertificate | None:
     """Certified partition into k classes of phi < c, or into as many as
     possible when k is None; None when fewer than max(k, 2) classes exist.
 
-    The DP works on the table values, and `_certify` re-checks each class
-    by direct phi.  A class whose phi lies within rounding of c can pass
-    the one and fail the other; the DP classes that make it up then leave
+    A subset qualifies when its kernel phi is below c.  The table decides
+    this wherever its value lies further from c than its rounding bound; the
+    kernel decides the rest, so the DP works on kernel verdicts throughout.
+    `_certify` re-checks each class by direct phi.  A class merged from DP
+    classes can still reach c; the DP classes that make it up then leave
     the qualifying set and the DP runs again.
     """
     pos = [i for i in range(g.n) if w[i] > 0]
@@ -384,7 +510,7 @@ def _exact_partition(
             f"{len(pos)} positive-weight nodes exceed set-partition cap "
             f"{EXACT_SET_PARTITION_CAP}"
         )
-    qualifying = (_phi_table(g, w, pos) < c).tolist()
+    qualifying = _qualifying(g, w, pos, c)
     while True:
         found = _largest_partition(qualifying)
         if len(found) < (2 if k is None else k):

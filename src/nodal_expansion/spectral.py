@@ -23,12 +23,15 @@ class NotSymmetricError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues, orthonormal eigenvectors (columns), and the
-    worst per-pair residual ||A v - lambda v||_2."""
+    """Ascending eigenvalues, orthonormal eigenvectors (columns), the
+    worst per-pair residual ||A v - lambda v||_2, and the matrix A itself
+    (not copied), so that a caller handed the decomposition of a Laplacian
+    need not build the Laplacian again."""
 
     values: np.ndarray
     vectors: np.ndarray
     residual: float
+    matrix: np.ndarray
 
     @property
     def n(self) -> int:
@@ -66,7 +69,9 @@ def eigendecompose(A: np.ndarray) -> SpectralDecomposition:
         resid = float(np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0)))
     else:
         resid = 0.0
-    return SpectralDecomposition(values=values, vectors=vectors, residual=resid)
+    return SpectralDecomposition(
+        values=values, vectors=vectors, residual=resid, matrix=A
+    )
 
 
 def canonical_sign(y: np.ndarray, tau: float | None = None) -> np.ndarray:

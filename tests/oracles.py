@@ -40,6 +40,19 @@ def sequential_cut(graph, w, S):
     return num, w_s, w_rest
 
 
+def kernel_phi_table(graph, w):
+    """phi by `sequential_cut` of every subset of the positive-weight nodes,
+    as a list indexed by bitmask (bit j for the j-th positive node); inf
+    where the cut is undefined."""
+    pos = [i for i in range(graph.n) if w[i] > 0]
+    table = []
+    for mask in range(1 << len(pos)):
+        S = [node for j, node in enumerate(pos) if mask >> j & 1]
+        num, w_s, w_rest = sequential_cut(graph, w, S)
+        table.append(num / min(w_s, w_rest) if w_s > 0 and w_rest > 0 else np.inf)
+    return table
+
+
 def greedy_move_reference(graph, w, classes, c):
     """One greedy single-node move that re-evaluates every class's phi for
     each trial: scan edges in order, each endpoint in turn, and make the

@@ -230,3 +230,17 @@ class TestVerifyPropSum:
             rec = ct.verify_prop_sum(g, k, pos, neg)
             assert rec.passed
             done += 1
+
+
+def test_one_laplacian_per_theorem_call(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return laplacian(g)
+
+    monkeypatch.setattr(ct, "laplacian", spy)
+    g = gen_gnp(8, 0.5, seed=3)
+    report = ct.verify_theorem1(g, 3)
+    assert report.a + report.b >= 1 and report.checks  # proof objects were built
+    assert len(calls) == 1

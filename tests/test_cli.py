@@ -231,6 +231,13 @@ def test_exit_code_usage_errors(capsys, p4_file, tmp_path):
         ["expander-check", p4_file, "--c", "0.5", "--eigvec", "0"],
         ["partition", p4_file, "--k", "2", "--c", "0.5", "--eigvec", "7"],
         ["gen", "gnp", "20"],
+        ["gen", "path", "inf"],
+        ["gen", "path", "2.5"],
+        ["gen", "path", "2.0"],
+        ["gen", "path", "3", "4"],
+        ["gen", "gnp", "4", "0.5", "9", "9"],
+        ["gen", "gnp", "4", "nan"],
+        ["gen", "expander-path-expander", "4", "3", "2", "1"],
     ):
         assert cli.run(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv

@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodal_expansion
+import nodal_expansion.expansion as xp
 from nodal_expansion.expansion import (
     ExactCapExceeded,
     ExpansionError,
     UndefinedCut,
+    _cut_values,
+    _edge_terms,
     _greedy_move,
+    _qualifying,
     find_partition,
     is_expander,
     max_partitionable,
     phi,
     sweep_cut,
 )
-from nodal_expansion.generators import gen_path
+from nodal_expansion.generators import gen_gnp, gen_path
 from nodal_expansion.graph import build_graph, induced_subgraph
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 from nodal_expansion.graph import laplacian, sign_support
@@ -31,6 +35,7 @@ from oracles import (
     brute_min_phi,
     brute_phi,
     greedy_move_reference,
+    kernel_phi_table,
     sequential_cut,
 )
 
@@ -139,6 +144,22 @@ class TestCutKernel:
         assert rest.numerator == cut.numerator
         assert rest.denominator == cut.denominator
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        weighted_graphs_with_subset(),
+        st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    def test_stacked_masks_match_sequential_sums(self, gws, flips):
+        g, w, S = gws
+        rows = np.zeros((3, g.n), dtype=bool)
+        rows[0, S] = True
+        rows[1] = ~rows[0]
+        rows[2] = flips[: g.n]
+        num, w_s, w_rest = _cut_values(w, *_edge_terms(g, w), rows)
+        for r, row in enumerate(rows):
+            ref = sequential_cut(g, w, np.flatnonzero(row))
+            assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
+
     def test_greedy_move_matches_reference(self):
         rng = np.random.default_rng(3)
         moves = 0
@@ -230,6 +251,46 @@ class TestIsExpander:
             w = rng.random(n) + 0.01
             v = is_expander(g, w, 1e9)
             assert abs(v.min_phi - brute_min_phi(g, w)) < 1e-10
+
+    def test_min_phi_is_phi_of_witness(self):
+        # exact min_phi is the kernel's value, not a table value that can
+        # differ from phi(g, w, witness) in the last bits
+        witnesses = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = 6 + seed % 9
+            g = gen_gnp(n, 0.4, seed=seed)
+            w = rng.uniform(0.01, 1.0, n)
+            v = is_expander(g, w, 10.0)
+            if v.witness is not None:
+                witnesses += 1
+                assert v.min_phi == phi(g, w, v.witness).phi, seed
+        assert witnesses == 400
+
+    def test_tie_at_zero_ends_search(self, monkeypatch):
+        # every nonempty set of an edgeless graph has phi 0, and no phi lies
+        # below 0: the first block of the kernel confirmations settles it
+        rows = []
+        kernel = xp._subset_phis
+
+        def spy(terms, masks):
+            rows.append(len(masks))
+            return kernel(terms, masks)
+
+        monkeypatch.setattr(xp, "_subset_phis", spy)
+        v = is_expander(build_graph(20, []), np.ones(20), 1.0)
+        assert v.min_phi == 0.0 and v.witness == (1,)
+        assert sum(rows) <= 64
+
+    def test_light_rest_keeps_its_weight(self):
+        # w(V \ S) = 1e-17 vanishes against w(V) = 1, but it is not zero
+        g = k2()
+        w = np.array([1e-17, 1.0])
+        v = is_expander(g, w, 1e9)
+        assert not v.is_expander and v.witness == (1,)
+        assert v.min_phi == phi(g, w, [1]).phi
+        cert = find_partition(g, w, 2, 1e9)
+        assert cert is not None and cert.valid
 
     def test_heuristic_witness_is_verified(self):
         v = is_expander(p3(), ONES3, 1.1, mode="heuristic")
@@ -407,6 +468,40 @@ class TestExactEngineProperties:
             cert = find_partition(g, w, k, 0.7)
             assert cert is not None and cert.valid and len(cert.classes) == k
         assert find_partition(g, w, k_max + 1, 0.7) is None
+
+
+@st.composite
+def graphs_with_kernel_threshold(draw):
+    """Graphs of at most 10 nodes, weights including zeros and at least two
+    positive, and c equal to the kernel phi of one of the subsets."""
+    n = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    w = np.array([draw(weight) for _ in range(n)])
+    w[list(draw(st.sampled_from(pairs)))] = draw(st.floats(1e-3, 1e3))
+    g = build_graph(n, edges)
+    table = kernel_phi_table(g, w)
+    values = sorted({v for v in table if 0 < v < np.inf})
+    c = draw(st.sampled_from(values)) if values else 1.0
+    return g, w, table, c
+
+
+class TestScreenedTable:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graphs_with_kernel_threshold())
+    def test_matches_kernel_oracle(self, gwtc):
+        g, w, table, c = gwtc
+        pos = [i for i in range(g.n) if w[i] > 0]
+        assert _qualifying(g, w, pos, c) == [v < c for v in table]
+        # the minimum over the sets without pos[0], and the lowest such mask
+        # among the minimizers
+        best = min(table[0::2])
+        mask = 2 * table[0::2].index(best)
+        v = is_expander(g, w, c)
+        assert v.min_phi == best
+        expect = tuple(node for j, node in enumerate(pos) if mask >> j & 1)
+        assert v.witness == (expect if best < c else None)
 
 
 class TestMaxPartitionable:
