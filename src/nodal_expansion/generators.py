@@ -130,6 +130,18 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
+def _uniform_mask(rng: np.random.Generator, bits: int) -> int:
+    """A uniform random integer in [0, 2^bits).  numpy draws at most 63 bits
+    at a time, so a wider mask is drawn in 63-bit pieces, lowest first; up
+    to 63 bits it is the single draw that earlier versions made."""
+    if bits <= 63:
+        return int(rng.integers(0, 1 << bits))
+    mask = 0
+    for shift in range(0, bits, 63):
+        mask |= int(rng.integers(0, 1 << min(63, bits - shift))) << shift
+    return mask
+
+
 def sample_connected_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     """`count` distinct random connected labeled graphs on n nodes, sampled
     by uniform edge-subset masks with rejection (fixed seed, deterministic)."""
@@ -138,7 +150,7 @@ def sample_connected_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     seen: set[int] = set()
     produced = 0
     while produced < count:
-        mask = int(rng.integers(0, 1 << len(all_edges)))
+        mask = _uniform_mask(rng, len(all_edges))
         if mask in seen:
             continue
         seen.add(mask)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from nodal_expansion.expansion import (
     ExactCapExceeded,
     ExpansionError,
     UndefinedCut,
+    _certify,
     _cut_values,
     _edge_terms,
     _greedy_move,
@@ -25,7 +27,7 @@ from nodal_expansion.expansion import (
     phi,
     sweep_cut,
 )
-from nodal_expansion.generators import gen_gnp, gen_path
+from nodal_expansion.generators import gen_cycle, gen_gnp, gen_path, gen_random_regular
 from nodal_expansion.graph import build_graph, induced_subgraph
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 from nodal_expansion.graph import laplacian, sign_support
@@ -160,6 +162,23 @@ class TestCutKernel:
             ref = sequential_cut(g, w, np.flatnonzero(row))
             assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs_with_subset(), st.integers(0, 2**32 - 1))
+    def test_tall_stack_matches_sequential_sums(self, gws, seed):
+        g, w, S = gws
+        rows = np.random.default_rng(seed).random((160, g.n)) < 0.5
+        rows[0] = False
+        rows[1] = True
+        rows[2, S] = True
+        terms = _edge_terms(g, w)
+        num, w_s, w_rest = _cut_values(w, *terms, rows)
+        for r, row in enumerate(rows):
+            ref = sequential_cut(g, w, np.flatnonzero(row))
+            assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
+            if r < 8:  # the same rows as one-mask stacks
+                one = _cut_values(w, *terms, rows[r : r + 1])
+                assert (one[0][0], one[1][0], one[2][0]) == ref
+
     def test_greedy_move_matches_reference(self):
         rng = np.random.default_rng(3)
         moves = 0
@@ -181,13 +200,68 @@ class TestCutKernel:
             classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
             ref = [list(cls) for cls in classes]
             for _ in range(20):
-                made = _greedy_move(g, w, classes, 0.5)
+                made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
                 assert made == greedy_move_reference(g, w, ref, 0.5)
                 assert classes == ref
                 if not made:
                     break
                 moves += 1
         assert moves > 40  # the instances exercise the moves, not only "no move"
+
+    def test_greedy_move_ties_match_reference(self):
+        """Unit weights make many trial moves tie exactly with the current
+        worst phi, which must be rejected (2,378 of the 5,643 trials here);
+        zero weights and classes with one positive-weight node add undefined
+        cuts, and nodes of weight 1e-30 add weights that cancel in the
+        screen's arithmetic."""
+        rng = np.random.default_rng(11)
+        graphs = [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 11)]
+        for r, s in ((3, 3), (3, 4), (4, 4)):
+            graphs.append(
+                build_graph(
+                    r * s,
+                    [(i * s + j, i * s + j + 1) for i in range(r) for j in range(s - 1)]
+                    + [(i * s + j, (i + 1) * s + j) for i in range(r - 1) for j in range(s)],
+                )
+            )
+        for r, s in ((2, 3), (3, 3), (3, 4), (4, 4)):
+            graphs.append(build_graph(r + s, [(i, r + j) for i in range(r) for j in range(s)]))
+        moves = stuck = 0
+        for g in graphs:
+            n = g.n
+            for variant, k in itertools.product(("unit", "zeros", "single", "tiny"), (2, 3, 4)):
+                labels = rng.integers(0, k, n) if k != 2 else np.arange(n) * k // n
+                labels[:k] = np.arange(k)  # no class is empty
+                w = np.ones(n)
+                if variant == "zeros":
+                    w[rng.permutation(n)[: n // 4]] = 0.0
+                elif variant == "single":
+                    w[np.flatnonzero(labels == 0)[1:]] = 0.0  # class 0: one positive node
+                elif variant == "tiny":
+                    w[rng.permutation(n)[: n // 3]] = 1e-30
+                classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
+                ref = [list(cls) for cls in classes]
+                for _ in range(30):
+                    made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
+                    assert made == greedy_move_reference(g, w, ref, 0.5)
+                    assert classes == ref
+                    if not made:
+                        stuck += 1
+                        break
+                    moves += 1
+        assert moves > 100 and stuck > 50
+
+    def test_greedy_move_survives_cancelling_weights(self):
+        # Path 2-0-3-1 with w_0 = w_1 = 1e-30: moving node 2 out of {1, 2}
+        # leaves w({1}) = 1e-30, which the screen computes as
+        # w({1, 2}) - w_2 = 0.  Only its rounding bound keeps the move, which
+        # lowers the worst phi from about 2e15 to 1e15, for the kernel.
+        g = build_graph(4, [(0, 2), (0, 3), (1, 3)])
+        w = np.array([1e-30, 1e-30, 1.0, 1.0])
+        classes, ref = [[0], [3], [1, 2]], [[0], [3], [1, 2]]
+        assert _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
+        assert greedy_move_reference(g, w, ref, 0.5)
+        assert classes == ref == [[0, 2], [3], [1]]
 
 
 class TestIsExpander:
@@ -505,6 +579,49 @@ class TestScreenedTable:
 
 
 class TestMaxPartitionable:
+    def test_heuristic_draws_one_split_chain(self, monkeypatch):
+        """Heuristic max_partitionable draws k - 1 splits for each k from one
+        chain: each certificate it builds equals find_partition's for the
+        same k, and no split is computed twice."""
+        rng = np.random.default_rng(0)
+        w_regular = rng.random(40) + 0.1
+        w_regular[::7] = 0.0
+        cases = [
+            (gen_path(24), np.ones(24), 0.5),
+            (gen_cycle(30), np.ones(30), 0.45),
+            (gen_random_regular(40, 3, 2), w_regular, 0.6),
+            (gen_gnp(30, 0.15, 4), rng.random(30), 0.8),
+        ]
+        splits, built = [], []
+        fiedler, heuristic = xp._fiedler_order, xp._heuristic_partition
+
+        def fiedler_spy(g, w):
+            splits.append(g.n)
+            return fiedler(g, w)
+
+        def heuristic_spy(g, w, classes, c, budget):
+            cert = heuristic(g, w, classes, c, budget)
+            built.append((len(classes), cert))
+            return cert
+
+        for g, w, c in cases:
+            monkeypatch.setattr(xp, "_fiedler_order", fiedler_spy)
+            monkeypatch.setattr(xp, "_heuristic_partition", heuristic_spy)
+            splits.clear()
+            built.clear()
+            k_max, cert = max_partitionable(g, w, c, mode="heuristic")
+            monkeypatch.undo()
+            n_pos = int(np.count_nonzero(w > 0))
+            assert 3 <= k_max < n_pos
+            # k = 2 .. k_max + 1, the last one failing
+            assert [k for k, _ in built] == list(range(2, k_max + 2))
+            assert built[-1][1] is None and cert == built[-2][1]
+            for k, made in built:
+                assert made == find_partition(g, w, k, c, mode="heuristic")
+            # the chain drew k_max splits, one Fiedler order each; drawing
+            # k - 1 splits afresh for every k would take k_max (k_max + 1) / 2
+            assert len(splits) == k_max
+
     def test_k2_threshold_2(self):
         k_best, cert = max_partitionable(k2(), np.array([1.0, 1.0]), 2.0)
         assert k_best == 2 and cert.valid

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,19 @@ class TestEnumeration:
             assert g.edges not in seen
             seen.add(g.edges)
         assert len(seen) == 40
+
+    def test_sampler_wide_masks(self):
+        # 66 node pairs: each mask is wider than one 63-bit draw
+        graphs = list(sample_connected_graphs(12, 30, seed=5))
+        assert len({g.edges for g in graphs}) == 30
+        assert all(g.n == 12 and is_connected(g) for g in graphs)
+
+    def test_sampler_stream_pinned(self):
+        # masks of up to 63 bits are single draws, as they always were: the
+        # small-sweep benchmark and criterion 1 rely on this stream
+        digest = hashlib.sha256()
+        for g in sample_connected_graphs(7, 200, seed=1):
+            digest.update(repr(g.edges).encode())
+        assert digest.hexdigest() == (
+            "519705aa7564e76a86b664c6c654cc36d7b4049f3c1fb9ab4ee3eaf6843f35ca"
+        )
