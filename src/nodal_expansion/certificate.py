@@ -176,10 +176,11 @@ def build_proof_objects(
     C for the given partitions of the two supports of the k-th eigenvector.
 
     `decomposition`, when given, must be the eigendecomposition of
-    laplacian(g); its matrix serves as L, so neither is built twice."""
+    laplacian(g), full or with index k; its matrix serves as L, so neither
+    is built twice."""
     if not 1 <= k <= g.n:
         raise CertificateError(f"k={k} outside [1,{g.n}]")
-    d = decomposition if decomposition is not None else eigendecompose(laplacian(g))
+    d = decomposition if decomposition is not None else eigendecompose(laplacian(g), k)
     L = d.matrix
     sel = select_eigenpair(d, k)
     y, lam = sel.y, sel.lambda_k
@@ -435,7 +436,7 @@ def verify_theorem1(
         raise CertificateError(f"k={k} outside [1,{g.n - 1}]")
     L = laplacian(g)
     tol = default_tolerance(L)
-    d = eigendecompose(L)
+    d = eigendecompose(L, k)
     sel = select_eigenpair(d, k)
     y = sel.y
     w = y * y
@@ -519,7 +520,7 @@ def verify_corollary1(g: Graph, budget: int = xp.DEFAULT_BUDGET) -> CorollaryRep
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
     L = laplacian(g)
-    d = eigendecompose(L)
+    d = eigendecompose(L, 2)
     sel = select_eigenpair(d, 2)
     y = sel.y
     w = y * y

@@ -116,8 +116,9 @@ def _check_weights(g: Graph, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (g.n,):
         raise ExpansionError(f"weights shape {w.shape} does not match n={g.n}")
-    if np.any(w < 0):
-        raise ExpansionError("weights must be nonnegative")
+    # one pass, as cheap as a sign test alone; NaN fails both comparisons
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ExpansionError("weights must be finite and nonnegative")
     return w
 
 
@@ -595,6 +596,14 @@ def _certify(
         in_s = np.zeros(g.n, dtype=bool)
         in_s[cls] = True
         phis.append(_mask_phi(w, *terms, in_s))
+    return _certificate(classes, phis, c)
+
+
+def _certificate(
+    classes: list[list[int]], phis: Sequence[float], c: float
+) -> PartitionCertificate:
+    """The certificate of a partition into two or more classes whose kernel
+    phis are known."""
     return PartitionCertificate(
         classes=tuple(tuple(sorted(cls)) for cls in classes),
         phis=tuple(float(p) for p in phis),
@@ -678,15 +687,17 @@ def _heuristic_partition(
 ) -> PartitionCertificate | None:
     """Greedy single-node moves from the classes of a split chain, with the
     zero-weight nodes attached, until every class has phi < c or the budget
-    of moves runs out."""
+    of moves runs out.  A move changes two classes, whose kernel phis it has
+    computed, so the classes are certified by direct phi once, at the start."""
     full = _attach_zero_weight_nodes(g, w, classes)
     cert = _certify(g, w, full, c)
     steps = 0
     while not cert.valid and steps < budget:
         steps += 1
-        if not _greedy_move(g, w, full, c, cert.phis):
+        phis = _greedy_move(g, w, full, c, cert.phis)
+        if phis is None:
             break
-        cert = _certify(g, w, full, c)
+        cert = _certificate(full, phis, c)
     return cert if cert.valid else None
 
 
@@ -729,14 +740,15 @@ def _greedy_move(
     classes: list[list[int]],
     c: float,
     phis: Sequence[float],
-) -> bool:
+) -> list[float] | None:
     """Move one boundary node between classes if it lowers the worst phi.
 
     `classes` are sorted lists that partition the nodes, and `phis` their
     kernel phi, as `_certify` gives them.  Edges are scanned in order, each
     endpoint in turn, and the first move whose worst class phi falls
     strictly below the current worst, `base`, is made.  Mutates `classes`;
-    returns whether a move was made.
+    returns the kernel phis of the classes after the move, the same bits
+    as `_certify` gives, or None when no move is made.
 
     Screen, then confirm.  Moving node a from class ca to class cb changes
     only the terms of a's incident edges, so from the per-node sums of
@@ -808,9 +820,9 @@ def _greedy_move(
             classes[src].remove(node)
             classes[dst].append(node)
             classes[dst].sort()
-            return True
+            return trial
         label[node] = src
-    return False
+    return None
 
 
 def max_partitionable(

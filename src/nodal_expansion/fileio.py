@@ -1,9 +1,9 @@
 """Text file formats: edge lists, node weights, and partitions.
 
 Edge list: first non-comment line "n m", then m lines "u v" with 0-based
-endpoints.  Weights: one decimal float per line, n lines.  Partition: one
-line per class, space-separated 0-based node indices.  Lines starting with
-'#' are comments in all three formats.
+endpoints.  Weights: one finite, nonnegative decimal float per line, n
+lines.  Partition: one line per class, space-separated 0-based node
+indices.  Lines starting with '#' are comments in all three formats.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ def parse_weights(text: str, n: int, source: str | Path = "<string>") -> np.ndar
             w[i] = float(line)
         except ValueError:
             raise ParseError(source, no, f"non-numeric weight {line!r}") from None
+        if not np.isfinite(w[i]):
+            raise ParseError(source, no, f"non-finite weight {line!r}")
         if w[i] < 0:
             raise ParseError(source, no, f"negative weight {w[i]}")
     return w

@@ -5,8 +5,9 @@ import pytest
 
 from nodal_expansion import cli
 from nodal_expansion import fileio
-from nodal_expansion.generators import gen_gnp, gen_path
-from nodal_expansion.graph import is_connected
+from nodal_expansion.generators import gen_gnp, gen_path, gen_random_regular
+from nodal_expansion.graph import is_connected, laplacian
+from nodal_expansion.spectral import eigendecompose
 
 
 @pytest.fixture
@@ -100,6 +101,18 @@ def test_partition_command(capsys, p3_file, tmp_path):
     assert json.loads(out)["found"] is False
 
 
+def test_partition_rejects_non_finite_weights(capsys, p3_file, tmp_path):
+    wfile = tmp_path / "w.txt"
+    for bad in ("nan", "inf"):
+        wfile.write_text(f"{bad}\n1.0\n1.0\n")
+        code = cli.run(
+            ["partition", p3_file, "--k", "2", "--c", "0.5", "--weights", str(wfile)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite weight" in err
+
+
 def test_verify_proof(capsys, p4_file, tmp_path):
     pos = tmp_path / "pos.txt"
     neg = tmp_path / "neg.txt"
@@ -124,9 +137,9 @@ def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
     calls = []
     real = cli.eigendecompose
 
-    def spy(A):
+    def spy(A, *args, **kwargs):
         calls.append(A.shape)
-        return real(A)
+        return real(A, *args, **kwargs)
 
     monkeypatch.setattr(cli, "eigendecompose", spy)
     monkeypatch.setattr(cli.ct, "eigendecompose", spy)
@@ -140,6 +153,25 @@ def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
     (rec,) = [c for c in json.loads(out)["checks"] if c["name"] == "prop_sum"]
     ref = cli.ct.verify_prop_sum(gen_path(4), 2, [[0], [1]], [[2, 3]])
     assert rec == cli._round_floats(ref.as_dict())
+
+
+def test_verify_proof_matches_verify_theorem1_on_index_path(capsys, tmp_path):
+    # 400 nodes: both entry points take y_3 from the index path
+    g = gen_random_regular(400, 4, 0)
+    assert eigendecompose(laplacian(g), 3).index == 3
+    report = cli.ct.verify_theorem1(g, 3, mode="heuristic")
+    assert report.checks
+    graph, pos, neg = (str(tmp_path / f) for f in ("g.txt", "pos.txt", "neg.txt"))
+    fileio.write_edge_list(g, graph)
+    fileio.write_partition(report.pos_classes, pos)
+    fileio.write_partition(report.neg_classes, neg)
+    code, out = run_capture(
+        capsys, ["verify-proof", graph, "--k", "3", "--pos", pos, "--neg", neg]
+    )
+    res = json.loads(out)
+    assert code == 0
+    assert (res["a"], res["b"]) == (report.a, report.b)
+    assert res["checks"] == cli._round_floats([c.as_dict() for c in report.checks])
 
 
 def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):

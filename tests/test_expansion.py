@@ -78,6 +78,16 @@ class TestPhi:
         # brute force over both bipartitions
         assert abs(min(brute_phi(g, w, [0]), brute_phi(g, w, [1])) - cut.phi) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # NaN passes a `w < 0` test; unchecked, phi gives nan / nan and exact
+        # is_expander a proof verdict that leaves the NaN node out
+        w = np.array([bad, 1.0, 1.0])
+        with pytest.raises(ExpansionError, match="finite"):
+            phi(p3(), w, [0])
+        with pytest.raises(ExpansionError, match="finite"):
+            is_expander(p3(), w, 0.5, mode="exact")
+
     def test_undefined_for_zero_or_full_weight(self):
         with pytest.raises(UndefinedCut):
             phi(p3(), np.array([0.0, 1.0, 1.0]), [0])
@@ -201,10 +211,11 @@ class TestCutKernel:
             ref = [list(cls) for cls in classes]
             for _ in range(20):
                 made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
-                assert made == greedy_move_reference(g, w, ref, 0.5)
+                assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                 assert classes == ref
-                if not made:
+                if made is None:
                     break
+                assert tuple(made) == _certify(g, w, classes, 0.5).phis  # bit for bit
                 moves += 1
         assert moves > 40  # the instances exercise the moves, not only "no move"
 
@@ -243,11 +254,12 @@ class TestCutKernel:
                 ref = [list(cls) for cls in classes]
                 for _ in range(30):
                     made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
-                    assert made == greedy_move_reference(g, w, ref, 0.5)
+                    assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                     assert classes == ref
-                    if not made:
+                    if made is None:
                         stuck += 1
                         break
+                    assert tuple(made) == _certify(g, w, classes, 0.5).phis
                     moves += 1
         assert moves > 100 and stuck > 50
 
@@ -259,7 +271,7 @@ class TestCutKernel:
         g = build_graph(4, [(0, 2), (0, 3), (1, 3)])
         w = np.array([1e-30, 1e-30, 1.0, 1.0])
         classes, ref = [[0], [3], [1, 2]], [[0], [3], [1, 2]]
-        assert _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
+        assert _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis) is not None
         assert greedy_move_reference(g, w, ref, 0.5)
         assert classes == ref == [[0, 2], [3], [1]]
 

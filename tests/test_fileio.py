@@ -55,6 +55,13 @@ def test_weights_negative():
         fileio.parse_weights("1.0\n-2.0\n", 2)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_weights_non_finite(bad):
+    # NaN slips past a `w < 0` test, since every comparison with NaN is False
+    with pytest.raises(fileio.ParseError, match=":2: non-finite weight"):
+        fileio.parse_weights(f"1.0\n{bad}\n", 2)
+
+
 def test_partition_round_trip(tmp_path):
     classes = [[0, 2], [1], [3, 4]]
     path = tmp_path / "p.txt"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from nodal_expansion.graph import build_graph, laplacian
+from nodal_expansion import spectral
+from nodal_expansion.generators import gen_gnp, gen_random_regular, sample_connected_graphs
+from nodal_expansion.graph import build_graph, laplacian, sign_support
 from nodal_expansion.spectral import (
     NotSymmetricError,
     eigendecompose,
+    is_repeated,
     select_eigenpair,
     spectral_gap_c,
 )
@@ -12,8 +15,20 @@ from nodal_expansion.spectral import (
 from oracles import char_poly_eigs, component_count
 
 
+EPS = np.finfo(float).eps
+
+
 def c4():
     return build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def barbell():
+    # two triangles joined by an edge; lambda_3 = lambda_4 = 3
+    return build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+
+
+def residual_bound(L):
+    return 2 * L.shape[0] * EPS * (1.0 + np.max(np.abs(L)))
 
 
 class TestEigendecompose:
@@ -143,3 +158,94 @@ class TestSpectralGap:
             assert abs(d.values[0]) <= 1e-9
             v = d.vectors[:, 0]
             assert np.max(np.abs(np.abs(v) - 1 / np.sqrt(n))) <= 1e-6
+
+
+class TestIndexPath:
+    """eigendecompose(A, k): every eigenvalue, one eigenvector by inverse
+    iteration.  Tests that use graphs below INDEX_MIN_ORDER lower it, so
+    the small graphs take the index path too."""
+
+    def test_small_order_ignores_index(self):
+        L = laplacian(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+        d, full = eigendecompose(L, 2), eigendecompose(L)
+        assert d.index is None
+        assert np.array_equal(d.values, full.values)
+        assert np.array_equal(d.vectors, full.vectors)
+
+    def test_agrees_with_full_decomposition(self, monkeypatch):
+        monkeypatch.setattr(spectral, "INDEX_MIN_ORDER", 1)
+        graphs = [gen_random_regular(n, 3 + s % 2, s) for s, n in enumerate((100, 200, 400, 800))]
+        graphs += [gen_gnp(200, 0.05, s) for s in range(2)]
+        graphs += [*sample_connected_graphs(7, 200, 5), *sample_connected_graphs(12, 100, 5)]
+        simple = 0
+        for g in graphs:
+            L = laplacian(g)
+            full = eigendecompose(L)
+            for k in range(1, min(g.n, 12) + 1):
+                d = eigendecompose(L, k)
+                if is_repeated(np.linalg.eigvalsh(L), k):
+                    assert d.index is None
+                    assert np.array_equal(d.vectors, full.vectors)
+                    continue
+                simple += 1
+                assert d.index == k and d.vectors.shape == (g.n, 1)
+                assert np.array_equal(d.values, np.linalg.eigvalsh(L))
+                lam = d.value(k)
+                y = d.vector(k)
+                assert d.residual == float(np.linalg.norm(L @ y - lam * y))
+                assert d.residual <= residual_bound(L)
+                y = select_eigenpair(d, k).y
+                y_full = select_eigenpair(full, k).y
+                supp, supp_full = sign_support(y), sign_support(y_full)
+                assert (supp.positive, supp.negative) == (supp_full.positive, supp_full.negative)
+                # Davis-Kahan: each vector is within residual / gap of the
+                # true one
+                gap = min(
+                    abs(lam - d.values[j]) for j in (k - 2, k) if 0 <= j < g.n
+                )
+                full_resid = np.linalg.norm(L @ y_full - full.value(k) * y_full)
+                diff = np.linalg.norm(y - y_full)
+                assert diff <= 2.0 * (d.residual + full_resid) / gap
+                assert np.max(np.abs(y - y_full)) <= 1e-9
+        assert simple > 2500
+
+    @pytest.mark.parametrize("g, k", [(c4(), 2), (barbell(), 3)])
+    def test_repeated_eigenvalue_falls_back_bit_for_bit(self, monkeypatch, g, k):
+        monkeypatch.setattr(spectral, "INDEX_MIN_ORDER", 1)
+        L = laplacian(g)
+        d, full = eigendecompose(L, k), eigendecompose(L)
+        assert d.index is None
+        assert np.array_equal(d.values, full.values)
+        assert np.array_equal(d.vectors, full.vectors)
+        assert d.residual == full.residual
+        assert select_eigenpair(d, k).multiplicity_flag
+
+    def test_singular_shift_is_shifted_again(self, monkeypatch):
+        # at k = 6 (lambda_6 ~ 5) the first shift makes L - sigma I exactly
+        # singular in floating point
+        monkeypatch.setattr(spectral, "INDEX_MIN_ORDER", 1)
+        g = build_graph(
+            7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 6), (5, 6)]
+        )
+        L = laplacian(g)
+        values = np.linalg.eigvalsh(L)
+        M = L.copy()
+        M.flat[::8] -= values[5] + spectral.SHIFT_ULPS * EPS * (1.0 + np.max(np.abs(L)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, np.ones(7))
+        d = eigendecompose(L, 6)
+        assert d.index == 6
+        assert d.residual <= residual_bound(L)
+        y_full = select_eigenpair(eigendecompose(L), 6).y
+        assert np.max(np.abs(select_eigenpair(d, 6).y - y_full)) <= 1e-12
+
+    def test_index_out_of_range_and_other_vectors(self):
+        L = laplacian(gen_random_regular(64, 3, 0))
+        with pytest.raises(IndexError):
+            eigendecompose(L, 0)
+        with pytest.raises(IndexError):
+            eigendecompose(L, 65)
+        d = eigendecompose(L, 2)
+        assert d.index == 2
+        with pytest.raises(ValueError, match="eigenvector 2 only"):
+            select_eigenpair(d, 3)
