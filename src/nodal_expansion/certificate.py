@@ -36,8 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, induced_subgraph, laplacian, sign_support
+from .graph import Graph, SignSupport, induced_subgraph, laplacian, sign_support
 from .spectral import (
+    EigenpairSelection,
     SpectralDecomposition,
     eigendecompose,
     select_eigenpair,
@@ -177,20 +178,37 @@ def build_proof_objects(
 
     `decomposition`, when given, must be the eigendecomposition of
     laplacian(g), full or with index k; its matrix serves as L, so neither
-    is built twice."""
+    is built twice.  Without it, L is decomposed in the low-end form: the
+    checks read lambda_1..lambda_K, K = max(a + b, k + 1), and y_k only."""
     if not 1 <= k <= g.n:
         raise CertificateError(f"k={k} outside [1,{g.n}]")
-    d = decomposition if decomposition is not None else eigendecompose(laplacian(g), k)
-    L = d.matrix
+    d = decomposition
+    if d is None:
+        K = max(len(pos_classes) + len(neg_classes), k + 1)
+        d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
     sel = select_eigenpair(d, k)
+    return _proof_objects(g, d, sel, sign_support(sel.y), pos_classes, neg_classes)
+
+
+def _proof_objects(
+    g: Graph,
+    d: SpectralDecomposition,
+    sel: EigenpairSelection,
+    supp: SignSupport,
+    pos_classes: Sequence[Sequence[int]],
+    neg_classes: Sequence[Sequence[int]],
+) -> ProofObjects:
+    """`build_proof_objects` from the decomposition d of laplacian(g), its
+    selected eigenpair and that eigenvector's sign support."""
+    k, L = sel.k, d.matrix
     y, lam = sel.y, sel.lambda_k
-    supp = sign_support(y)
     pos = _validate_classes("positive", pos_classes, set(supp.positive))
     neg = _validate_classes("negative", neg_classes, set(supp.negative))
     parts = tuple(pos) + tuple(neg)
     if not parts:
         raise CertificateError("no classes given; both supports empty")
-    M = L - lam * np.eye(g.n)
+    M = L.copy()
+    M.flat[:: g.n + 1] -= lam
     y_split = np.zeros((len(parts), g.n))
     for i, cls in enumerate(parts):
         y_split[i, list(cls)] = y[list(cls)]
@@ -201,7 +219,7 @@ def build_proof_objects(
     B = y_hat @ M @ y_hat.T
     B = (B + B.T) / 2.0
     mu = np.linalg.eigvalsh(B)
-    lam_k1 = float(d.values[k]) if k < d.n else None
+    lam_k1 = d.value(k + 1) if k < d.n else None
     c = spectral_gap_c(d, k) if k < d.n else None
     p = ProofObjects(
         graph=g,
@@ -469,7 +487,7 @@ def verify_theorem1(
     (a, pos_cls), (b, neg_cls) = sides
     checks: list[CheckRecord] = []
     if a + b >= 1:
-        checks = run_checks(build_proof_objects(g, k, pos_cls, neg_cls, decomposition=d))
+        checks = run_checks(_proof_objects(g, d, sel, supp, pos_cls, neg_cls))
     return TheoremReport(
         graph=g, k=k, values=d.values, c=c, a=a, b=b,
         a_plus_b_le_k=a + b <= k, mode=mode, checks=checks,

@@ -107,12 +107,11 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as a dense symmetric array."""
+    us, vs = g.edge_arrays()
     L = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
+    L[us, vs] = -1.0
+    L[vs, us] = -1.0
+    L.flat[:: g.n + 1] = np.bincount(us, minlength=g.n) + np.bincount(vs, minlength=g.n)
     return L
 
 

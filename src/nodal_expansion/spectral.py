@@ -1,16 +1,25 @@
-"""Dense symmetric eigendecomposition and eigenpair selection.
+"""Symmetric eigendecomposition and eigenpair selection.
 
-Two dense solves, both numpy only, both deterministic for a fixed input
-matrix.  Without an eigen-index, `eigendecompose` returns every eigenpair
-from LAPACK's divide-and-conquer path (numpy.linalg.eigh).  With an index k
-and a matrix of order INDEX_MIN_ORDER or more, it returns every eigenvalue
+Three solves, all numpy only, all deterministic for a fixed input matrix.
+Without an eigen-index, `eigendecompose` returns every eigenpair from
+LAPACK's divide-and-conquer path (numpy.linalg.eigh).  With an index k and a
+matrix of order INDEX_MIN_ORDER or more, it returns every eigenvalue
 (numpy.linalg.eigvalsh) but only the eigenvector y_k, by inverse iteration
 from a shift just above lambda_k (Parlett, The Symmetric Eigenvalue
 Problem, ch. 4): an LU solve or two in place of the eigenvector
 accumulation and the residual product over all n pairs.  A repeated
 lambda_k has no unique eigenvector, and callers see the basis eigh picks,
-so a repeated lambda_k gets the full decomposition.  Memory is dense
-either way: O(n^2) for the matrix and its factors.
+so a repeated lambda_k gets the full decomposition.
+
+The low-end form, for a graph Laplacian of order LOW_END_MIN_ORDER or more
+given with its edge list, returns only lambda_1..lambda_K and y_k.  Lanczos
+with full reorthogonalization (Parlett, ch. 13) runs on the edge list at
+O(m) per step plus the reorthogonalization.  Its Ritz values count only
+once they are certified: residual intervals that are disjoint, and one
+floating-point Cholesky factorization that proves no eigenvalue below them
+was missed (Rump, "Verification of positive definiteness", BIT 46, 2006).
+Anything uncertified falls back to the dense solves.  Memory is dense on
+every path: O(n^2) for the matrix and its factors.
 """
 
 from __future__ import annotations
@@ -34,6 +43,16 @@ INDEX_MIN_ORDER = 64
 # SHIFT_TRIES times
 SHIFT_ULPS = 8
 SHIFT_TRIES = 4
+# below this order Lanczos plus the Cholesky certificate costs more than
+# eigvalsh plus inverse iteration, so the low-end form is not tried
+# (measured at k = 2..3, K = k + 1: 1.17 times the dense time on random
+# 4-regular graphs at n = 500 and 0.94 times at n = 600; 0.57 times on
+# connected G(n, 8/n) at n = 600)
+LOW_END_MIN_ORDER = 600
+# Lanczos gives up after this many steps; the cap bounds what an
+# uncertifiable spectrum (eigenvalue gaps of order 1/n^2 on a path) costs
+# on top of the dense solve it falls back to
+LANCZOS_MAX_STEPS = 300
 
 
 class NotSymmetricError(ValueError):
@@ -47,6 +66,11 @@ class SpectralDecomposition:
     itself (not copied), so that a caller handed the decomposition of a
     Laplacian need not build the Laplacian again.
 
+    `n` is the order of A.  `values` holds all n eigenvalues, except from
+    the low-end form, where it holds lambda_1..lambda_K only and `radii`
+    their certified enclosures: exactly one eigenvalue of A, the i-th, lies
+    within radii[i-1] of values[i-1].  `radii` is None otherwise.
+
     `index` is None when `vectors` holds all n eigenvectors.  Otherwise
     `vectors` has the one column y_index, the eigenvector of the simple
     eigenvalue lambda_index, and `residual` is that pair's."""
@@ -56,15 +80,16 @@ class SpectralDecomposition:
     residual: float
     matrix: np.ndarray
     index: int | None = None
+    radii: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.matrix)
 
     def value(self, k: int) -> float:
         """Eigenvalue by 1-based index."""
-        if not 1 <= k <= self.n:
-            raise IndexError(f"eigenvalue index {k} outside [1,{self.n}]")
+        if not 1 <= k <= len(self.values):
+            raise IndexError(f"eigenvalue index {k} outside [1,{len(self.values)}]")
         return float(self.values[k - 1])
 
     def vector(self, k: int) -> np.ndarray:
@@ -88,7 +113,13 @@ class EigenpairSelection:
     multiplicity_flag: bool
 
 
-def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition:
+def eigendecompose(
+    A: np.ndarray,
+    k: int | None = None,
+    *,
+    through: int | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix: every eigenpair, or with a
     1-based index k every eigenvalue and the eigenvector y_k alone.
 
@@ -96,6 +127,13 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
     lambda_k (see `is_repeated`), one whose inverse iteration misses its
     residual bound, and a matrix of order below INDEX_MIN_ORDER get the
     full decomposition, the same bits as eigendecompose(A).
+
+    The low-end form: with k < through < n, n >= LOW_END_MIN_ORDER and
+    `edges`, the endpoint arrays (us, vs) of the graph whose Laplacian A
+    is, it returns lambda_1..lambda_through and y_k from certified Lanczos
+    pairs (`_low_end`).  When the Ritz values show lambda_k repeated, the
+    full decomposition follows at once; any other result that cannot be
+    certified falls back to the forms above, with the same bits.
 
     Raises NotSymmetricError if A deviates from its transpose by more than
     SYMMETRY_RTOL relative to its largest entry.
@@ -108,7 +146,20 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     if k is not None and not 1 <= k <= len(A):
         raise IndexError(f"eigenpair index {k} outside [1,{len(A)}]")
-    if k is not None and len(A) >= INDEX_MIN_ORDER:
+    if through is not None and edges is None:
+        raise ValueError("the low-end form needs the graph's edge arrays")
+    repeated = False
+    if (
+        through is not None
+        and k is not None
+        and k < through < len(A)
+        and len(A) >= LOW_END_MIN_ORDER
+    ):
+        low = _low_end(A, edges, k, through, scale)
+        if isinstance(low, SpectralDecomposition):
+            return low
+        repeated = low
+    if k is not None and len(A) >= INDEX_MIN_ORDER and not repeated:
         values = np.linalg.eigvalsh(A)
         if not is_repeated(values, k):
             pair = _inverse_iteration(A, float(values[k - 1]), scale)
@@ -166,6 +217,163 @@ def _inverse_iteration(
     return None
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff: the
+    relative error bound of m rounded operations in sequence."""
+    mu = m * np.finfo(float).eps / 2
+    return mu / (1.0 - mu)
+
+
+def _low_end(
+    L: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray],
+    k: int,
+    through: int,
+    scale: float,
+) -> SpectralDecomposition | bool:
+    """lambda_1..lambda_K (K = through) and y_k of the Laplacian L with
+    edge arrays `edges`, certified; True when the Ritz values show
+    lambda_k repeated, False when nothing is certified.
+
+    Lanczos gives K + 1 Ritz pairs (theta_i, v_i) with unit v_i.  From the
+    computed residual rho_i and Higham's bounds on its rounding, r_i bounds
+    ||L v_i - theta_i v_i|| / ||v_i||, so some eigenvalue lies in
+    [theta_i - r_i, theta_i + r_i] (Weyl, or Krylov-Weinstein).  These
+    intervals must be disjoint, with tau between the K-th and the
+    (K+1)-th.  Then one Cholesky factorization, shifted down by a proven
+    bound on the rounding of forming and factoring the matrix (Rump, BIT
+    46, 2006), proves L - tau I + V_K diag(tau - theta_i + delta) V_K^T
+    positive definite.  That is L - tau I plus a positive semidefinite
+    matrix of rank K, so L has at most K eigenvalues below tau, hence
+    exactly one in each of the first K intervals.  y_k must also meet the
+    inverse-iteration residual bound 2 n eps (1 + max|L|)."""
+    n = len(L)
+    us, vs = edges
+    deg = np.diag(L)
+    bound = 2 * n * np.finfo(float).eps * scale
+    ritz = _lanczos(deg, us, vs, through + 1, k, bound)
+    if ritz is None:
+        return False
+    theta, V = ritz
+    if is_repeated(theta, k):
+        return True
+    V = V / np.linalg.norm(V, axis=0)
+    nu = np.linalg.norm(V, axis=0)
+    R = np.column_stack([_laplacian_matvec(deg, us, vs, v) for v in V.T]) - V * theta
+    rho = np.linalg.norm(R, axis=0)
+    if rho[k - 1] > bound:
+        return False
+    dmax = float(np.max(deg))
+    # the matvec and the subtraction of theta v round at most dmax + 4 times
+    # per entry, on terms summing to at most (2 dmax + |theta|) |v|; the
+    # norms round at most n + 2 times; (1 + 4u) covers this line's own
+    g = _gamma(n + 2)
+    r = (
+        (rho + _gamma(int(dmax) + 4) * (2 * dmax + np.abs(theta)) * nu)
+        * (1 + g) / (nu * (1 - g)) * (1 + _gamma(4))
+    )
+    lo, hi = theta - r, theta + r
+    if np.any(hi[:-1] >= lo[1:]):
+        return False
+    K = through
+    tau = (hi[K - 1] + lo[K]) / 2
+    s = tau - theta[:K] + (lo[K] - tau)
+    P = (V[:, :K] * s) @ V[:, :K].T
+    P += L
+    diag = P.diagonal()
+    top = float(np.max(diag))
+    # rounding of forming P (scaling, a K-term product, the sum with L) and
+    # of subtracting the shift: gamma_{K+4} on the norms of the terms
+    form = _gamma(K + 4) * (float(s @ nu[:K] ** 2) + 2 * dmax + top)
+    # Cholesky's backward error |dP| <= gamma_{n+1} |R^T| |R|, whose norm
+    # is at most gamma_{n+1} / (1 - gamma_{n+1}) trace(P)
+    g = _gamma(n + 1)
+    factor = g / (1 - g) * float(np.sum(diag)) * (1 + _gamma(n))
+    under = 4 * n * (n + K + top) * np.finfo(float).smallest_subnormal
+    shift = 2 * (form + factor + abs(tau) * np.finfo(float).eps + under)
+    P.flat[:: n + 1] -= tau + shift
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return False
+    return SpectralDecomposition(
+        values=theta[:K],
+        vectors=V[:, k - 1 : k].copy(),
+        residual=float(rho[k - 1]),
+        matrix=L,
+        index=k,
+        radii=r[:K],
+    )
+
+
+def _laplacian_matvec(
+    deg: np.ndarray, us: np.ndarray, vs: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """L x for the Laplacian with degrees `deg` and edges (us[i], vs[i])."""
+    n = len(deg)
+    return deg * x - np.bincount(us, x[vs], n) - np.bincount(vs, x[us], n)
+
+
+def _lanczos(
+    deg: np.ndarray, us: np.ndarray, vs: np.ndarray, count: int, k: int, bound: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The `count` lowest Ritz values of the Laplacian (degrees `deg`,
+    edges us, vs) and their Ritz vectors as columns, from Lanczos with full
+    reorthogonalization (the three-term recurrence, then one classical
+    Gram-Schmidt pass against every earlier vector) from the fixed start
+    default_rng(0); None after LANCZOS_MAX_STEPS steps or when the Krylov
+    space closes first.
+
+    Done when the residual estimate r_i = beta_j |s_ji| of every pair is
+    small enough: at most bound / 2 for the k-th, so that y_k can meet the
+    bound; at most sqrt(bound gap_i) / 2 for the others below the last, gap_i
+    the distance to the nearest Ritz value, so that r_i^2 / gap_i puts
+    theta_i within bound / 4 of its eigenvalue; and at most an eighth of
+    its gap to the one below for the last, which only separates the others
+    from the rest of the spectrum.  The estimates are read from a full
+    eigendecomposition of the tridiagonal T_j every 10 steps, or every j/4
+    steps once j passes 40: at j = 200 one such check costs as much as
+    several dozen Lanczos steps.  Nothing here is trusted: `_low_end`
+    certifies what it returns."""
+    n = len(deg)
+    steps = min(LANCZOS_MAX_STEPS, n)
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    Q = np.empty((steps, n))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    check = 2 * count
+    for j in range(steps):
+        Q[j] = q
+        w = _laplacian_matvec(deg, us, vs, q)
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        alpha[j] = q @ w
+        w -= alpha[j] * q
+        basis = Q[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        alpha[j] += h[j]
+        beta[j] = np.linalg.norm(w)
+        closed = beta[j] <= bound
+        if j + 1 >= count and (closed or j + 1 == check or j + 1 == steps):
+            T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, S = np.linalg.eigh(T)
+            est = beta[j] * np.abs(S[-1, :count])
+            gaps = np.diff(theta[:count])
+            near = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
+            target = np.append(np.sqrt(bound * near) / 2, gaps[-1] / 8)
+            target[k - 1] = bound / 2
+            if np.all(est <= target):
+                return theta[:count], basis.T @ S[:, :count]
+        if closed:
+            return None
+        if j + 1 >= check:
+            check = j + 1 + max(10, (j + 1) // 4)
+        q = w / beta[j]
+    return None
+
+
 def canonical_sign(y: np.ndarray, tau: float | None = None) -> np.ndarray:
     """Flip y so its first coordinate with |y_i| > tau is positive."""
     y = np.asarray(y, dtype=float)
@@ -201,7 +409,7 @@ def select_eigenpair(
         raise IndexError(f"eigenpair index {k} outside [1,{d.n}]")
     y = canonical_sign(d.vector(k), tau)
     return EigenpairSelection(
-        k=k, lambda_k=float(d.values[k - 1]), y=y, multiplicity_flag=is_repeated(d.values, k)
+        k=k, lambda_k=d.value(k), y=y, multiplicity_flag=is_repeated(d.values, k)
     )
 
 
@@ -209,4 +417,4 @@ def spectral_gap_c(d: SpectralDecomposition, k: int) -> float:
     """Half the gap between the (k+1)-th and k-th eigenvalues."""
     if not 1 <= k <= d.n - 1:
         raise IndexError(f"gap index {k} outside [1,{d.n - 1}]")
-    return (float(d.values[k]) - float(d.values[k - 1])) / 2.0
+    return (d.value(k + 1) - d.value(k)) / 2.0

@@ -244,3 +244,17 @@ def test_one_laplacian_per_theorem_call(monkeypatch):
     report = ct.verify_theorem1(g, 3)
     assert report.a + report.b >= 1 and report.checks  # proof objects were built
     assert len(calls) == 1
+
+
+def test_one_sign_support_per_theorem_call(monkeypatch):
+    calls = []
+
+    def spy(y, *args, **kwargs):
+        calls.append(len(y))
+        return sign_support(y, *args, **kwargs)
+
+    monkeypatch.setattr(ct, "sign_support", spy)
+    g = gen_gnp(8, 0.5, seed=3)
+    report = ct.verify_theorem1(g, 3)
+    assert report.a + report.b >= 1 and report.checks  # proof objects were built
+    assert calls == [8]

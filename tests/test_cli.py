@@ -5,9 +5,12 @@ import pytest
 
 from nodal_expansion import cli
 from nodal_expansion import fileio
+from nodal_expansion import spectral
 from nodal_expansion.generators import gen_gnp, gen_path, gen_random_regular
 from nodal_expansion.graph import is_connected, laplacian
 from nodal_expansion.spectral import eigendecompose
+
+from proof_graphs import FAMILIES, SIZES, proof_graph, proof_partition
 
 
 @pytest.fixture
@@ -172,6 +175,45 @@ def test_verify_proof_matches_verify_theorem1_on_index_path(capsys, tmp_path):
     assert code == 0
     assert (res["a"], res["b"]) == (report.a, report.b)
     assert res["checks"] == cli._round_floats([c.as_dict() for c in report.checks])
+
+
+# (k, a, b): a + b = k + 1 runs prop_sum and the chain check; a + b = 6 at
+# k = 4 makes the checks read lambda_1..lambda_6, past lambda_{k+1}
+LOW_END_PARTS = ((2, 2, 1), (3, 1, 1), (4, 3, 3))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", SIZES)
+def test_verify_proof_low_end_matches_dense_route(capsys, tmp_path, monkeypatch, family, n):
+    g, ys = proof_graph(family, n)
+    graph, pos, neg = (str(tmp_path / f) for f in ("g.txt", "pos.txt", "neg.txt"))
+    fileio.write_edge_list(g, graph)
+    routes = []
+    real = cli.ct.eigendecompose
+
+    def spy(*args, **kwargs):
+        d = real(*args, **kwargs)
+        routes.append(d.radii is not None)
+        return d
+
+    monkeypatch.setattr(cli.ct, "eigendecompose", spy)
+    low_end_min = spectral.LOW_END_MIN_ORDER
+    for k, a, b in LOW_END_PARTS:
+        pos_cls, neg_cls = proof_partition(ys[k], a, b)
+        fileio.write_partition(pos_cls, pos)
+        fileio.write_partition(neg_cls, neg)
+        argv = ["verify-proof", graph, "--k", str(k), "--pos", pos, "--neg", neg]
+        results = []
+        for order in (low_end_min, n + 1):
+            monkeypatch.setattr(spectral, "LOW_END_MIN_ORDER", order)
+            code, out = run_capture(capsys, argv)
+            res = json.loads(out)
+            results.append(
+                (code, res["a"], res["b"], [(c["name"], c["passed"]) for c in res["checks"]])
+            )
+        assert routes[-2:] == [True, False]
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and (results[0][1], results[0][2]) == (a, b)
 
 
 def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):

@@ -12,6 +12,7 @@ from nodal_expansion.graph import (
     sign_support,
     weights_from_eigenvector,
 )
+from nodal_expansion.generators import gen_gnp
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 
 from oracles import char_poly_eigs
@@ -73,6 +74,23 @@ class TestLaplacian:
             assert np.array_equal(L, L.T)
             assert np.array_equal(L.sum(axis=1), np.zeros(n))
             assert np.allclose(L @ np.ones(n), 0)
+
+    def test_matches_edge_loop(self):
+        def loop_laplacian(g):
+            L = np.zeros((g.n, g.n))
+            for u, v in g.edges:
+                L[u, u] += 1.0
+                L[v, v] += 1.0
+                L[u, v] -= 1.0
+                L[v, u] -= 1.0
+            return L
+
+        graphs = [build_graph(0, []), build_graph(1, []), build_graph(4, [])]
+        graphs += [gen_gnp(n, p, s) for n, p, s in ((7, 0.5, 1), (40, 0.2, 2), (300, 0.02, 3))]
+        for g in graphs:
+            L = laplacian(g)
+            assert L.dtype == np.float64
+            assert np.array_equal(L, loop_laplacian(g))
 
 
 class TestSignSupport:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from nodal_expansion import spectral
-from nodal_expansion.generators import gen_gnp, gen_random_regular, sample_connected_graphs
+from nodal_expansion.generators import (
+    gen_gnp,
+    gen_path,
+    gen_random_regular,
+    sample_connected_graphs,
+)
 from nodal_expansion.graph import build_graph, laplacian, sign_support
 from nodal_expansion.spectral import (
     NotSymmetricError,
@@ -13,6 +18,7 @@ from nodal_expansion.spectral import (
 )
 
 from oracles import char_poly_eigs, component_count
+from proof_graphs import FAMILIES, KS, SIZES, proof_graph
 
 
 EPS = np.finfo(float).eps
@@ -249,3 +255,137 @@ class TestIndexPath:
         assert d.index == 2
         with pytest.raises(ValueError, match="eigenvector 2 only"):
             select_eigenpair(d, 3)
+
+
+def lapl(g):
+    return laplacian(g), g.edge_arrays()
+
+
+class TestLowEnd:
+    """eigendecompose(L, k, through=K, edges=...): lambda_1..lambda_K and y_k
+    from certified Lanczos pairs, or the dense route's bits."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_certified_on_proof_graphs(self, family, n):
+        g, ys = proof_graph(family, n)
+        L, edges = lapl(g)
+        values = np.linalg.eigvalsh(L)
+        # numpy's eigenvalues are good to about n eps ||L||, no better
+        # (they miss the exact lambda_1 = 0 by up to 1.5e-14 at n = 1200,
+        # wider than some certified intervals)
+        eigvalsh_err = n * EPS * 2 * np.max(np.diag(L))
+        for k in KS:
+            for K in (k + 1, k + 2):
+                d = eigendecompose(L, k, through=K, edges=edges)
+                assert d.radii is not None and d.index == k
+                assert d.n == n and len(d.values) == len(d.radii) == K
+                lo, hi = d.values - d.radii, d.values + d.radii
+                assert np.all(hi[:-1] < lo[1:])
+                assert lo[0] <= 0.0 <= hi[0]
+                assert np.all(np.abs(values[:K] - d.values) <= d.radii + eigvalsh_err)
+                y = d.vector(k)
+                assert d.residual <= residual_bound(L)
+                assert np.linalg.norm(L @ y - d.value(k) * y) <= residual_bound(L)
+                supp = sign_support(select_eigenpair(d, k).y)
+                ref = sign_support(ys[k])
+                assert (supp.positive, supp.negative) == (ref.positive, ref.negative)
+
+    def test_missed_eigenvalue_is_caught(self, monkeypatch):
+        # Lanczos pairs with lambda_2's pair taken out: every interval is
+        # still narrow and disjoint, so only the Cholesky certificate sees
+        # that an eigenvalue below tau is missing
+        g, _ = proof_graph("gnp", 600)
+        L, edges = lapl(g)
+        real = spectral._lanczos
+
+        def drop_second(deg, us, vs, count, k, bound):
+            theta, V = real(deg, us, vs, count + 1, k, bound)
+            keep = [i for i in range(count + 1) if i != 1]
+            return theta[keep], V[:, keep]
+
+        monkeypatch.setattr(spectral, "_lanczos", drop_second)
+        d = eigendecompose(L, 3, through=4, edges=edges)
+        dense = eigendecompose(L, 3)
+        assert d.radii is None
+        assert np.array_equal(d.values, dense.values)
+        assert np.array_equal(d.vectors, dense.vectors)
+
+    def test_repeated_goes_straight_to_eigh(self, monkeypatch):
+        # G(600, 8/599) seed 0 has an isolated node: lambda_1 = lambda_2 = 0
+        g = gen_gnp(600, 8 / 599, 0)
+        assert component_count(g) == 2
+        L, edges = lapl(g)
+        full = eigendecompose(L)
+        calls = []
+        real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
+
+        def eigvalsh(A, *args, **kwargs):
+            calls.append(("eigvalsh", A.shape))
+            return real_eigvalsh(A, *args, **kwargs)
+
+        def eigh(A, *args, **kwargs):
+            calls.append(("eigh", A.shape))
+            return real_eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        d = eigendecompose(L, 2, through=3, edges=edges)
+        assert ("eigh", L.shape) in calls
+        assert all(name != "eigvalsh" for name, _ in calls)
+        assert d.index is None and d.radii is None
+        assert np.array_equal(d.values, full.values)
+        assert np.array_equal(d.vectors, full.vectors)
+        assert d.residual == full.residual
+        assert select_eigenpair(d, 2).multiplicity_flag
+
+    def test_step_cap_falls_back(self, monkeypatch):
+        # the path's low eigenvalues lie about 1e-5 apart: Lanczos does not
+        # converge within the cap, and the dense route gives its own bits
+        g = gen_path(1200)
+        L, edges = lapl(g)
+        steps = []
+        real = spectral._laplacian_matvec
+
+        def matvec(deg, us, vs, x):
+            steps.append(1)
+            return real(deg, us, vs, x)
+
+        monkeypatch.setattr(spectral, "_laplacian_matvec", matvec)
+        d = eigendecompose(L, 2, through=3, edges=edges)
+        assert len(steps) == spectral.LANCZOS_MAX_STEPS
+        dense = eigendecompose(L, 2)
+        assert d.radii is None and d.index == 2
+        assert np.array_equal(d.values, dense.values)
+        assert np.array_equal(d.vectors, dense.vectors)
+
+    def test_through_ignored_without_room(self):
+        g, _ = proof_graph("gnp", 600)
+        L, edges = lapl(g)
+        dense = eigendecompose(L, 2)
+        for through in (2, 1, g.n):  # K must satisfy k < K < n
+            d = eigendecompose(L, 2, through=through, edges=edges)
+            assert d.radii is None and np.array_equal(d.vectors, dense.vectors)
+        small = gen_random_regular(400, 4, 0)
+        L_small = laplacian(small)
+        d = eigendecompose(L_small, 2, through=3, edges=small.edge_arrays())
+        assert d.radii is None
+        assert np.array_equal(d.vectors, eigendecompose(L_small, 2).vectors)
+        for M in (L, L_small):
+            with pytest.raises(ValueError, match="edge arrays"):
+                eigendecompose(M, 2, through=3)
+
+    def test_order_is_not_value_count(self):
+        g, _ = proof_graph("gnp", 600)
+        L, edges = lapl(g)
+        d = eigendecompose(L, 2, through=3, edges=edges)
+        assert d.radii is not None
+        assert d.n == 600 and len(d.values) == 3
+        assert d.value(3) == float(d.values[2])
+        with pytest.raises(IndexError):
+            d.value(4)
+        assert spectral_gap_c(d, 2) == (d.value(3) - d.value(2)) / 2.0
+        with pytest.raises(IndexError):
+            spectral_gap_c(d, 3)
+        sel = select_eigenpair(d, 2)
+        assert not sel.multiplicity_flag and sel.lambda_k == d.value(2)
