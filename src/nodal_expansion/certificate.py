@@ -20,6 +20,13 @@ explicit tolerance and slack:
     positive semidefinite, so mu_max <= lambda_max(C);
   * lambda_max(C) < 2c whenever every class expansion is below c.
 
+Each call takes one eigen-split (`EigenSplit`) from its decomposition: the
+selected pair, w, c, the tolerance, the sign support, and each side's
+induced subgraph with its weights, built once on first use.  The partition
+search and the checks share it; `class_expansions` sums every class of a
+side with one stacked kernel call on that side's subgraph, and
+`check_C_diagonal` reads its per-class cuts from the same sums.
+
 `build_proof_objects` builds C with B when there are two or more classes.
 `run_checks` runs the checks: B's sign pattern, B z = 0 and interlacing;
 with a + b >= 2, C's diagonal and C - B PSD; lambda_max(C) < 2c if k < n
@@ -28,17 +35,16 @@ and every class expansion is below c; prop-sum if a + b = k + 1.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, SignSupport, induced_subgraph, laplacian, sign_support
+from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian, sign_support
 from .spectral import (
-    EigenpairSelection,
     SpectralDecomposition,
     eigendecompose,
     select_eigenpair,
@@ -55,6 +61,32 @@ def default_tolerance(L: np.ndarray) -> float:
     n = L.shape[0]
     scale = float(np.max(np.abs(L))) if L.size else 0.0
     return 1e-8 * (1.0 + scale * n)
+
+
+class EigenSplit:
+    """The split of graph g by the k-th eigenvector of d, a decomposition of
+    laplacian(g) that holds y_k: the selected `pair`, the weights w = y^2,
+    the half-gap c (None when k = n), the check `tolerance` and the sign
+    `support`.  `side` builds each support's induced subgraph on first use
+    and hands the same one to every later caller."""
+
+    def __init__(self, g: Graph, d: SpectralDecomposition, k: int):
+        self.graph, self.spectrum = g, d
+        self.pair = select_eigenpair(d, k)
+        self.w = self.pair.y * self.pair.y
+        self.c = spectral_gap_c(d, k) if k < d.n else None
+        self.tolerance = default_tolerance(d.matrix)
+        self.support = sign_support(self.pair.y)
+        self._sides: dict[int, tuple[InducedSubgraph, np.ndarray]] = {}
+
+    def side(self, j: int) -> tuple[InducedSubgraph, np.ndarray]:
+        """The subgraph induced by the positive (j = 0) or negative (j = 1)
+        support, and its weights."""
+        if j not in self._sides:
+            nodes = (self.support.positive, self.support.negative)[j]
+            sub = induced_subgraph(self.graph, nodes)
+            self._sides[j] = (sub, self.w[list(sub.to_parent)])
+        return self._sides[j]
 
 
 @dataclass
@@ -79,6 +111,28 @@ class ProofObjects:
     C: np.ndarray | None = None  # None with fewer than two classes
     tolerance: float = 0.0
     spectrum: SpectralDecomposition | None = None
+    split: EigenSplit | None = None  # the split the objects were built from
+
+    @cached_property
+    def class_cuts(self) -> list[xp.CutValue | None]:
+        """Each class's cut in its side's support subgraph, bit for bit what
+        `phi` gives there; None for a class that covers its whole side.  The
+        classes of a side are summed together, one row each, by the stacked
+        cut kernel on the subgraph the split holds."""
+        out: list[xp.CutValue | None] = []
+        for j, side in enumerate((self.parts[: self.a], self.parts[self.a:])):
+            if len(side) < 2:
+                out.extend([None] * len(side))
+                continue
+            sub, w_sub = self.split.side(j)
+            label = np.empty(self.graph.n, dtype=int)
+            for i, cls in enumerate(side):
+                label[list(cls)] = i
+            rows = label[list(sub.to_parent)] == np.arange(len(side))[:, None]
+            terms = xp._edge_terms(sub.graph, w_sub)
+            num, w_s, w_rest = xp._cut_values(w_sub, *terms, rows)
+            out.extend(map(xp.CutValue, num.tolist(), np.minimum(w_s, w_rest).tolist()))
+        return out
 
 
 @dataclass(frozen=True)
@@ -186,28 +240,23 @@ def build_proof_objects(
     if d is None:
         K = max(len(pos_classes) + len(neg_classes), k + 1)
         d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
-    sel = select_eigenpair(d, k)
-    return _proof_objects(g, d, sel, sign_support(sel.y), pos_classes, neg_classes)
+    return _proof_objects(EigenSplit(g, d, k), pos_classes, neg_classes)
 
 
 def _proof_objects(
-    g: Graph,
-    d: SpectralDecomposition,
-    sel: EigenpairSelection,
-    supp: SignSupport,
+    s: EigenSplit,
     pos_classes: Sequence[Sequence[int]],
     neg_classes: Sequence[Sequence[int]],
 ) -> ProofObjects:
-    """`build_proof_objects` from the decomposition d of laplacian(g), its
-    selected eigenpair and that eigenvector's sign support."""
-    k, L = sel.k, d.matrix
-    y, lam = sel.y, sel.lambda_k
-    pos = _validate_classes("positive", pos_classes, set(supp.positive))
-    neg = _validate_classes("negative", neg_classes, set(supp.negative))
+    """`build_proof_objects` on the split s."""
+    g, d, k = s.graph, s.spectrum, s.pair.k
+    y, lam = s.pair.y, s.pair.lambda_k
+    pos = _validate_classes("positive", pos_classes, set(s.support.positive))
+    neg = _validate_classes("negative", neg_classes, set(s.support.negative))
     parts = tuple(pos) + tuple(neg)
     if not parts:
         raise CertificateError("no classes given; both supports empty")
-    M = L.copy()
+    M = d.matrix.copy()
     M.flat[:: g.n + 1] -= lam
     y_split = np.zeros((len(parts), g.n))
     for i, cls in enumerate(parts):
@@ -219,44 +268,50 @@ def _proof_objects(
     B = y_hat @ M @ y_hat.T
     B = (B + B.T) / 2.0
     mu = np.linalg.eigvalsh(B)
-    lam_k1 = d.value(k + 1) if k < d.n else None
-    c = spectral_gap_c(d, k) if k < d.n else None
     p = ProofObjects(
         graph=g,
         k=k,
         lambda_k=lam,
-        lambda_k1=lam_k1,
-        c=c,
+        lambda_k1=d.value(k + 1) if k < d.n else None,
+        c=s.c,
         M=M,
         parts=parts,
         a=len(pos),
         b=len(neg),
         y=y,
-        w=y * y,
+        w=s.w,
         y_split=y_split,
         z=z,
         B=B,
         mu=mu,
-        tolerance=default_tolerance(L),
+        tolerance=s.tolerance,
         spectrum=d,
+        split=s,
     )
     if len(parts) >= 2:
         build_C(p)
     return p
 
 
+@lru_cache(maxsize=256)
+def _same_side(a: int, b: int) -> np.ndarray:
+    """Read-only mask of the off-diagonal class pairs (i, j) on the same
+    side, with the a positive-side classes first."""
+    positive = np.arange(a + b) < a
+    same = positive[:, None] == positive
+    same.flat[:: a + b + 1] = False
+    same.flags.writeable = False
+    return same
+
+
 def check_B_sign_pattern(p: ProofObjects) -> CheckRecord:
     """Same-side off-diagonal entries of B are <= 0; cross-side entries >= 0."""
     tol = p.tolerance
-    margins = [np.inf]
-    m = p.a + p.b
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            same_side = (i < p.a) == (j < p.a)
-            margins.append(-p.B[i, j] if same_side else p.B[i, j])
-    slack = float(min(margins))
+    margins = np.where(_same_side(p.a, p.b), -p.B, p.B)
+    margins.flat[:: len(margins) + 1] = np.inf  # no margin; inf for one class
+    # min keeps the first of equal margins in row-major order, so the sign
+    # of a zero slack is the first zero's, as with the margins one by one
+    slack = min(margins.ravel().tolist())
     return CheckRecord("B_sign_pattern", slack >= -tol, slack, tol)
 
 
@@ -288,14 +343,17 @@ def build_C(p: ProofObjects) -> np.ndarray:
     m = p.a + p.b
     if m < 2:
         raise CertificateError("C needs at least two classes")
-    C = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j and (i < p.a) == (j < p.a):
-                C[i, j] = p.B[i, j]
-    for i in range(m):
-        side = range(p.a) if i < p.a else range(p.a, m)
-        C[i, i] = -sum(p.z[r] / p.z[i] * p.B[i, r] for r in side if r != i)
+    C = np.where(_same_side(p.a, p.b), p.B, 0.0)
+    # C_ii = -(sum over same-side r of z_r / z_i * B_ir), summed in class
+    # order from +0.0: term (r, i) sits in row r (B is symmetric), and a
+    # reduction down the rows adds them row after row.  A class alone on
+    # its side keeps +0.0.
+    diag = -np.add.reduce(p.z[:, None] / p.z * C, axis=0, initial=0.0)
+    if p.a == 1:
+        diag[0] = 0.0
+    if p.b == 1:
+        diag[p.a] = 0.0
+    C.flat[:: m + 1] = diag
     p.C = C
     return C
 
@@ -307,20 +365,12 @@ def class_expansions(
     None marks a class covering its entire side (expansion undefined).
 
     A side's support is the union of its classes, which
-    `build_proof_objects` has checked to cover it exactly."""
-    out: list[float | None] = []
-    for side in (p.parts[: p.a], p.parts[p.a:]):
-        if not side:
-            continue
-        if len(side) == 1:
-            out.append(None)
-            continue
-        sub = induced_subgraph(g, itertools.chain.from_iterable(side))
-        inv = {parent: s for s, parent in enumerate(sub.to_parent)}
-        w_sub = w[list(sub.to_parent)]
-        for cls in side:
-            out.append(xp.phi(sub.graph, w_sub, [inv[i] for i in cls]).phi)
-    return out
+    `build_proof_objects` has checked to cover it exactly.  The values come
+    from `p.class_cuts`, on the subgraphs of p's split, so g and w must be
+    p's graph and weights."""
+    if g != p.graph or w is not p.w and not np.array_equal(w, p.w):
+        raise CertificateError("class_expansions needs p's own graph and weights")
+    return [None if cut is None else cut.phi for cut in p.class_cuts]
 
 
 def check_C_diagonal(
@@ -335,23 +385,11 @@ def check_C_diagonal(
     tol = p.tolerance
     flags: list[str] = []
     margins = [np.inf]
-    m = p.a + p.b
-    assign = {}
-    for i, cls in enumerate(p.parts):
-        for node in cls:
-            assign[node] = i
-    cut_mass = np.zeros(m)
-    for u, v in p.graph.edges:
-        iu, iv = assign.get(u), assign.get(v)
-        if iu is None or iv is None or iu == iv:
-            continue
-        if (iu < p.a) != (iv < p.a):
-            continue
-        contrib = float(np.sqrt(p.w[u] * p.w[v]))
-        cut_mass[iu] += contrib
-        cut_mass[iv] += contrib
+    # the same-side edges leaving a class are the edges its cut in the
+    # side's support subgraph crosses
+    cut_mass = np.array([0.0 if cut is None else cut.numerator for cut in p.class_cuts])
     scale = 1.0 + float(np.max(np.abs(cut_mass)))
-    for i in range(m):
+    for i in range(p.a + p.b):
         ident = abs(p.C[i, i] * p.z[i] ** 2 - cut_mass[i]) / scale
         margins.append(-ident)  # equality: slack 0 at exactness
         if phis[i] is None:
@@ -379,12 +417,8 @@ def check_CminusB_psd(p: ProofObjects) -> CheckRecord:
     D = np.diag(p.z)
     S = D @ E @ D
     margins = [np.inf]
-    m = p.a + p.b
-    for i in range(m):
-        margins.append(S[i, i])
-        for j in range(m):
-            if i != j:
-                margins.append(-S[i, j])
+    for i, row in enumerate((-S).tolist()):  # S_ii, then -S_ij for j != i
+        margins += [-row[i], *row[:i], *row[i + 1:]]
     row_resid = float(np.max(np.abs(S.sum(axis=1))))
     margins.append(-row_resid / (1.0 + float(np.max(np.abs(S)))))
     margins.append(float(np.linalg.eigvalsh(E)[0]))
@@ -452,47 +486,31 @@ def verify_theorem1(
         raise CertificateError("empty graph")
     if not 1 <= k <= g.n - 1:
         raise CertificateError(f"k={k} outside [1,{g.n - 1}]")
-    L = laplacian(g)
-    tol = default_tolerance(L)
-    d = eigendecompose(L, k)
-    sel = select_eigenpair(d, k)
-    y = sel.y
-    w = y * y
-    c = spectral_gap_c(d, k)
-    supp = sign_support(y)
-    if c <= tol:
-        a = 1 if supp.positive else 0
-        b = 1 if supp.negative else 0
-        return TheoremReport(
-            graph=g, k=k, values=d.values, c=c, a=a, b=b,
-            a_plus_b_le_k=a + b <= k, mode=mode, checks=[],
-            pos_classes=(supp.positive,) if supp.positive else (),
-            neg_classes=(supp.negative,) if supp.negative else (),
-            multiplicity_flag=sel.multiplicity_flag, degenerate_gap_flag=True,
-        )
+    s = EigenSplit(g, eigendecompose(laplacian(g), k), k)
+    degenerate = s.c <= s.tolerance
     # the theorem's partition counts use the strict inequality phi < c; a
     # tolerance margin keeps float noise at phi == c from inflating a or b
-    c_search = c - tol
+    c_search = s.c - s.tolerance
     sides = []
-    for nodes in (supp.positive, supp.negative):
-        if not nodes:
-            sides.append((0, ()))
+    for j, nodes in enumerate((s.support.positive, s.support.negative)):
+        if not nodes or degenerate:
+            sides.append((1, (nodes,)) if nodes else (0, ()))
             continue
-        sub = induced_subgraph(g, nodes)
+        sub, w_sub = s.side(j)
         k_side, cert = xp.max_partitionable(
-            sub.graph, w[list(sub.to_parent)], c_search, mode=mode, budget=budget
+            sub.graph, w_sub, c_search, mode=mode, budget=budget
         )
         classes = () if cert is None else cert.classes
         sides.append((k_side, tuple(sub.to_parent_set(cls) for cls in classes)))
     (a, pos_cls), (b, neg_cls) = sides
     checks: list[CheckRecord] = []
-    if a + b >= 1:
-        checks = run_checks(_proof_objects(g, d, sel, supp, pos_cls, neg_cls))
+    if a + b >= 1 and not degenerate:
+        checks = run_checks(_proof_objects(s, pos_cls, neg_cls))
     return TheoremReport(
-        graph=g, k=k, values=d.values, c=c, a=a, b=b,
+        graph=g, k=k, values=s.spectrum.values, c=s.c, a=a, b=b,
         a_plus_b_le_k=a + b <= k, mode=mode, checks=checks,
         pos_classes=pos_cls, neg_classes=neg_cls,
-        multiplicity_flag=sel.multiplicity_flag, degenerate_gap_flag=False,
+        multiplicity_flag=s.pair.multiplicity_flag, degenerate_gap_flag=degenerate,
     )
 
 
@@ -532,48 +550,35 @@ class CorollaryReport:
         }
 
 
-def verify_corollary1(g: Graph, budget: int = xp.DEFAULT_BUDGET) -> CorollaryReport:
+def verify_corollary1(g: Graph) -> CorollaryReport:
     """Both support subgraphs of the second eigenvector are
     (lambda_3 - lambda_2)/2-expanders with respect to the squared entries."""
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
-    L = laplacian(g)
-    d = eigendecompose(L, 2)
-    sel = select_eigenpair(d, 2)
-    y = sel.y
-    w = y * y
-    c = spectral_gap_c(d, 2)
-    supp = sign_support(y)
-    flags = []
-    tol = default_tolerance(L)
-    if c <= tol:
-        flags.append("degenerate_gap")
+    s = EigenSplit(g, eigendecompose(laplacian(g), 2), 2)
+    flags = ["degenerate_gap"] if s.c <= s.tolerance else []
     # strict threshold minus tolerance: phi == c must not read as a violation
-    c_test = c - tol
+    c_test = s.c - s.tolerance
     verdicts: list[xp.ExpanderVerdict | None] = []
-    for nodes in (supp.positive, supp.negative):
+    for j, nodes in enumerate((s.support.positive, s.support.negative)):
         if not nodes:
             verdicts.append(None)
             flags.append("empty_support")
             continue
-        sub = induced_subgraph(g, nodes)
-        w_sub = w[list(sub.to_parent)]
         if c_test <= 0:
             verdicts.append(None)
             continue
+        sub, w_sub = s.side(j)
         try:
             v = xp.is_expander(sub.graph, w_sub, c_test, mode="exact")
         except xp.ExactCapExceeded:
-            v = xp.is_expander(sub.graph, w_sub, c_test, mode="heuristic", budget=budget)
+            v = xp.is_expander(sub.graph, w_sub, c_test, mode="heuristic")
             flags.append("heuristic_fallback")
         if v.witness is not None:
-            v = xp.ExpanderVerdict(
-                v.is_expander, v.c,
-                sub.to_parent_set(v.witness), v.mode, v.min_phi,
-            )
+            v = replace(v, witness=sub.to_parent_set(v.witness))
         verdicts.append(v)
     return CorollaryReport(
-        graph=g, c=c,
+        graph=g, c=s.c,
         positive_verdict=verdicts[0], negative_verdict=verdicts[1],
         flags=flags,
     )

@@ -21,8 +21,8 @@ from . import certificate as ct
 from . import expansion as xp
 from . import fileio
 from . import generators as gen
-from .graph import GraphError, induced_subgraph, laplacian, sign_support
-from .spectral import eigendecompose, select_eigenpair, spectral_gap_c
+from .graph import GraphError, laplacian
+from .spectral import eigendecompose
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,9 +60,7 @@ def _load_weights(args, g):
         return fileio.read_weights(args.weights, g.n)
     if not 1 <= args.eigvec <= g.n:
         raise ValueError(f"--eigvec {args.eigvec} outside [1,{g.n}]")
-    d = eigendecompose(laplacian(g))
-    sel = select_eigenpair(d, args.eigvec)
-    return sel.y * sel.y
+    return ct.EigenSplit(g, eigendecompose(laplacian(g)), args.eigvec).w
 
 
 def cmd_spectrum(args) -> int:
@@ -82,7 +80,7 @@ def cmd_analyze(args) -> int:
 def cmd_expander_check(args) -> int:
     g = fileio.read_edge_list(args.file)
     w = _load_weights(args, g)
-    v = xp.is_expander(g, w, args.c, mode=args.mode, budget=args.budget)
+    v = xp.is_expander(g, w, args.c, mode=args.mode)
     emit_json(
         {
             "is_expander": bool(v.is_expander),
@@ -194,14 +192,10 @@ def cmd_gen(args) -> int:
 
 def cmd_demo_counterexample(args) -> int:
     g = gen.gen_expander_path_expander(args.n_block, args.d, args.path_len, args.seed)
-    d = eigendecompose(laplacian(g))
-    sel = select_eigenpair(d, 2)
-    y = sel.y
-    w = y * y
-    c = spectral_gap_c(d, 2)
-    supp = sign_support(y)
-    sub = induced_subgraph(g, supp.positive)
-    weighted = xp.is_expander(sub.graph, w[list(sub.to_parent)], c, mode="exact")
+    s = ct.EigenSplit(g, eigendecompose(laplacian(g)), 2)
+    d, c = s.spectrum, s.c
+    sub, w_sub = s.side(0)
+    weighted = xp.is_expander(sub.graph, w_sub, c, mode="exact")
     ones = np.ones(sub.graph.n)
     unweighted = xp.is_expander(sub.graph, ones, c, mode="exact")
     emit_json(
@@ -212,7 +206,7 @@ def cmd_demo_counterexample(args) -> int:
             "lambda_3": float(d.values[2]),
             "c": float(c),
             "gap_ordering_holds": bool(d.values[1] < d.values[2] - d.values[1]),
-            "positive_support": list(supp.positive),
+            "positive_support": list(s.support.positive),
             "weighted": {
                 "min_phi": float(weighted.min_phi),
                 "is_expander": bool(weighted.is_expander),
@@ -262,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_mode(p):
+    def add_mode(p, budget=True):
         p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-        p.add_argument("--budget", type=int, default=xp.DEFAULT_BUDGET)
+        if budget:  # the greedy moves' budget; an expander check makes none
+            p.add_argument("--budget", type=int, default=xp.DEFAULT_BUDGET)
 
     p = sub.add_parser("spectrum", help="print Laplacian eigenvalues as CSV")
     p.add_argument("file")
@@ -282,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--eigvec", type=int, help="use squared k-th eigenvector")
     grp.add_argument("--weights", help="weights file")
-    add_mode(p)
+    add_mode(p, budget=False)
     p.set_defaults(func=cmd_expander_check)
 
     p = sub.add_parser("partition", help="search a (k,c)-partition")

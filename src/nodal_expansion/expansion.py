@@ -122,6 +122,16 @@ def _check_weights(g: Graph, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_search(g: Graph, w: np.ndarray, c: float, mode: str) -> np.ndarray:
+    """The checked weights of a search at threshold c in `mode`; the mode
+    is checked first, so that no input returns early with an unknown one."""
+    if mode not in ("exact", "heuristic"):
+        raise ExpansionError(f"unknown mode {mode!r}")
+    if c <= 0:
+        raise ExpansionError(f"threshold c must be positive, got {c}")
+    return _check_weights(g, w)
+
+
 def _seq_sum(x: np.ndarray) -> float:
     """Left-to-right sum; np.sum's pairwise order would change the last bits."""
     return float(np.add.accumulate(x)[-1]) if len(x) else 0.0
@@ -338,13 +348,7 @@ def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(best), witness
 
 
-def is_expander(
-    g: Graph,
-    w: np.ndarray,
-    c: float,
-    mode: str = "exact",
-    budget: int = DEFAULT_BUDGET,
-) -> ExpanderVerdict:
+def is_expander(g: Graph, w: np.ndarray, c: float, mode: str = "exact") -> ExpanderVerdict:
     """Decide whether every proper-weight cut has phi >= c.
 
     Exact mode screens the subset phi table over the positive-weight nodes
@@ -355,9 +359,7 @@ def is_expander(
     It is a proof either way.  Heuristic mode runs sweep cuts and is a proof
     only when it finds a witness.
     """
-    w = _check_weights(g, w)
-    if c <= 0:
-        raise ExpansionError(f"threshold c must be positive, got {c}")
+    w = _check_search(g, w, c, mode)
     if float(w.sum()) <= 0:
         raise ExpansionError("total weight must be positive")
     n_pos = int(np.count_nonzero(w > 0))
@@ -374,8 +376,6 @@ def is_expander(
         if min_phi < c:
             return ExpanderVerdict(False, c, witness, "exact", min_phi)
         return ExpanderVerdict(True, c, None, "exact", min_phi)
-    if mode != "heuristic":
-        raise ExpansionError(f"unknown mode {mode!r}")
     best: tuple[float, tuple[int, ...]] | None = None
     for order in _candidate_orders(g, w):
         S, cut = sweep_cut(g, w, order)
@@ -630,9 +630,7 @@ def find_partition(
     greedy moves from them; its None proves nothing.  Every returned
     certificate has been re-verified by direct phi evaluation.
     """
-    w = _check_weights(g, w)
-    if c <= 0:
-        raise ExpansionError(f"threshold c must be positive, got {c}")
+    w = _check_search(g, w, c, mode)
     if k < 1:
         raise ExpansionError(f"k must be at least 1, got {k}")
     if k == 1:
@@ -643,8 +641,6 @@ def find_partition(
         return None
     if mode == "exact":
         return _exact_partition(g, w, c, k)
-    if mode != "heuristic":
-        raise ExpansionError(f"unknown mode {mode!r}")
     classes = next(itertools.islice(_split_chain(g, w), k - 1, None), None)
     if classes is None:
         return None
@@ -842,9 +838,7 @@ def max_partitionable(
     for k - 1 with one more split, and each k runs the greedy moves from
     them, so every certificate equals find_partition's for the same k.
     """
-    w = _check_weights(g, w)
-    if c <= 0:
-        raise ExpansionError(f"threshold c must be positive, got {c}")
+    w = _check_search(g, w, c, mode)
     n_pos = int(np.count_nonzero(w > 0))
     if mode == "exact" and n_pos >= 2:
         cert = _exact_partition(g, w, c)
@@ -855,8 +849,6 @@ def max_partitionable(
         return 0, None
     if mode == "exact" or n_pos < 2:
         return 1, best_cert
-    if mode != "heuristic":
-        raise ExpansionError(f"unknown mode {mode!r}")
     best_k = 1
     # the chain's first entry, the unsplit support, is k = 1
     for k, classes in enumerate(itertools.islice(_split_chain(g, w), 1, None), start=2):

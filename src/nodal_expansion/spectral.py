@@ -142,8 +142,10 @@ def eigendecompose(
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    if A.size and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
+    # exact symmetry, the usual case, needs no n x n difference
+    if A.size and not np.array_equal(A, A.T):
+        if float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale:  # NaN passes
+            raise NotSymmetricError("matrix is not symmetric within tolerance")
     if k is not None and not 1 <= k <= len(A):
         raise IndexError(f"eigenpair index {k} outside [1,{len(A)}]")
     if through is not None and edges is None:

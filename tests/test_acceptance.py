@@ -45,6 +45,7 @@ from nodal_expansion.spectral import (
     spectral_gap_c,
 )
 
+import loop_checks
 from oracles import brute_min_phi, char_poly_eigs, component_count
 
 DATA = Path(__file__).parent / "data"
@@ -195,6 +196,14 @@ def test_criterion3_proof_object_invariants(instances):
                 if m == k + 1:
                     assert p.lambda_k1 - p.lambda_k <= p.mu[-1] + TOL
     report(f"criterion-3 proof-object invariants ({len(instances)} instances)")
+
+
+def test_criterion3_checks_match_loop_forms(instances):
+    # class expansions, C and the check slacks, bit for bit as the loops
+    # over classes and edges give them
+    for g, k, d, p, phis in instances:
+        loop_checks.assert_matches(p, phis)
+    report(f"criterion-3 checks match their loop forms ({len(instances)} instances)")
 
 
 def test_criterion4_prop_sum(instances):

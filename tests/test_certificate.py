@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from nodal_expansion import certificate as ct
-from nodal_expansion.generators import gen_gnp
-from nodal_expansion.graph import build_graph, is_connected, laplacian, sign_support
+from nodal_expansion.generators import enumerate_connected_graphs, gen_gnp
+from nodal_expansion.graph import (
+    build_graph,
+    induced_subgraph,
+    is_connected,
+    laplacian,
+    sign_support,
+)
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
+
+import loop_checks
+from proof_graphs import FAMILIES, SIZES, proof_graph, proof_partition
 
 
 def k2():
@@ -258,3 +267,63 @@ def test_one_sign_support_per_theorem_call(monkeypatch):
     report = ct.verify_theorem1(g, 3)
     assert report.a + report.b >= 1 and report.checks  # proof objects were built
     assert calls == [8]
+
+
+def test_each_support_induced_once_per_theorem_call(monkeypatch):
+    # the search and class_expansions share one subgraph per support side
+    calls = []
+
+    def spy(g, nodes):
+        calls.append(tuple(nodes))
+        return induced_subgraph(g, nodes)
+
+    monkeypatch.setattr(ct, "induced_subgraph", spy)
+    g = gen_gnp(8, 0.5, seed=3)
+    report = ct.verify_theorem1(g, 4)
+    assert (report.a, report.b) == (3, 1)  # class_expansions needs a subgraph
+    assert len(calls) == len(set(calls)) == 2
+
+
+def test_class_expansions_needs_the_objects_graph():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
+    assert ct.class_expansions(build_graph(4, g.edges), p.w.copy(), p)[2] is None
+    with pytest.raises(ct.CertificateError):
+        ct.class_expansions(build_graph(4, [(0, 1), (1, 2)]), p.w, p)
+    with pytest.raises(ct.CertificateError):
+        ct.class_expansions(g, 2 * p.w, p)
+
+
+def test_corollary_takes_no_budget():
+    with pytest.raises(TypeError):
+        ct.verify_corollary1(barbell(), 10)
+
+
+def test_checks_match_loop_forms_on_small_graphs():
+    """Every connected 5-node graph at every k, with the classes its
+    theorem search certifies: single-class sides (phi None) and sides of
+    two or more classes."""
+    sides_seen = set()
+    for g in enumerate_connected_graphs(5):
+        for k in range(1, 5):
+            r = ct.verify_theorem1(g, k)
+            if r.degenerate_gap_flag or r.a + r.b == 0:
+                continue
+            p = ct.build_proof_objects(
+                g, k, r.pos_classes, r.neg_classes,
+                decomposition=eigendecompose(laplacian(g), k),
+            )
+            phis = ct.class_expansions(g, p.w, p)
+            loop_checks.assert_matches(p, phis)
+            sides_seen.update(min(n, 2) for n in (p.a, p.b))
+    assert sides_seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", SIZES)
+def test_checks_match_loop_forms_on_proof_graphs(family, n):
+    g, ys = proof_graph(family, n)
+    for k, (a, b) in ((2, (2, 1)), (3, (1, 3)), (4, (3, 3))):
+        pos, neg = proof_partition(ys[k], a, b)
+        p = ct.build_proof_objects(g, k, pos, neg)
+        loop_checks.assert_matches(p, ct.class_expansions(g, p.w, p))

@@ -75,6 +75,19 @@ def test_expander_check_eigvec(capsys, p3_file):
     assert json.loads(out)["mode"] == "exact"
 
 
+def test_budget_only_where_greedy_moves_use_it(capsys, p3_file):
+    # an expander check makes no greedy moves, so it takes no --budget
+    argv = ["expander-check", p3_file, "--eigvec", "2", "--c", "0.5", "--budget", "5"]
+    assert cli.run(argv) == 2
+    capsys.readouterr()
+    for argv in (
+        ["analyze", p3_file, "--k", "2", "--mode", "heuristic", "--budget", "5"],
+        ["partition", p3_file, "--k", "2", "--c", "9", "--eigvec", "2", "--budget", "5"],
+    ):
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_expander_check_weights_file(capsys, p3_file, tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("1.0\n1.0\n1.0\n")

@@ -646,3 +646,24 @@ class TestMaxPartitionable:
         g = build_graph(1, [])
         k_best, cert = max_partitionable(g, np.array([1.0]), 0.1)
         assert k_best == 1 and cert.valid
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_expander(k2(), np.array([1.0, 0.0]), 0.5, mode="bogus"),
+        lambda: find_partition(p3(), ONES3, 1, 1.0, mode="bogus"),
+        lambda: find_partition(p3(), np.array([1.0, 0.0, 0.0]), 2, 1.0, mode="bogus"),
+        lambda: max_partitionable(k2(), np.array([1.0, 0.0]), 0.5, mode="bogus"),
+    ],
+    ids=["is_expander", "find_partition_k1", "find_partition_few_nodes", "max_partitionable"],
+)
+def test_unknown_mode_rejected_on_small_inputs(call):
+    """Inputs that finish before any search still reject an unknown mode."""
+    with pytest.raises(ExpansionError, match="unknown mode"):
+        call()
+
+
+def test_is_expander_takes_no_budget():
+    with pytest.raises(TypeError):
+        is_expander(k2(), np.ones(2), 0.5, mode="heuristic", budget=10)

@@ -57,6 +57,21 @@ class TestEigendecompose:
         with pytest.raises(NotSymmetricError):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_asymmetry_within_tolerance_accepted(self):
+        # max|L| = 2, so the bound is SYMMETRY_RTOL * 3
+        L = laplacian(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+        L[0, 1] += 2 * spectral.SYMMETRY_RTOL
+        d = eigendecompose(L)
+        assert np.allclose(d.values, eigendecompose(laplacian(gen_path(4))).values)
+        L[0, 1] += 2 * spectral.SYMMETRY_RTOL
+        with pytest.raises(NotSymmetricError):
+            eigendecompose(L)
+
+    def test_nan_passes_the_symmetry_test(self):
+        # NaN != NaN fails the exact test; the tolerance test lets it pass
+        A = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert np.isnan(eigendecompose(A).values).all()
+
     def test_ascending_orthonormal_residual(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
