@@ -22,10 +22,11 @@ explicit tolerance and slack:
 
 Each call takes one eigen-split (`EigenSplit`) from its decomposition: the
 selected pair, w, c, the tolerance, the sign support, and each side's
-induced subgraph with its weights, built once on first use.  The partition
-search and the checks share it; `class_expansions` sums every class of a
-side with one stacked kernel call on that side's subgraph, and
-`check_C_diagonal` reads its per-class cuts from the same sums.
+induced subgraph with its weights, built once on first use.  Each class's
+cut in its side's subgraph is summed once and kept in `ProofObjects.cuts`:
+`verify_theorem1` takes the cuts its search's certificates carry, and
+`build_proof_objects` evaluates the caller's classes with `phi`.
+`class_expansions` and `check_C_diagonal` read those cuts.
 
 `build_proof_objects` builds C with B when there are two or more classes.
 `run_checks` runs the checks: B's sign pattern, B z = 0 and interlacing;
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -108,31 +109,12 @@ class ProofObjects:
     z: np.ndarray
     B: np.ndarray
     mu: np.ndarray
+    # each class's cut in its side's support subgraph, bit for bit what
+    # `phi` gives there; None for a class that covers its whole side
+    cuts: tuple[xp.CutValue | None, ...]
     C: np.ndarray | None = None  # None with fewer than two classes
     tolerance: float = 0.0
     spectrum: SpectralDecomposition | None = None
-    split: EigenSplit | None = None  # the split the objects were built from
-
-    @cached_property
-    def class_cuts(self) -> list[xp.CutValue | None]:
-        """Each class's cut in its side's support subgraph, bit for bit what
-        `phi` gives there; None for a class that covers its whole side.  The
-        classes of a side are summed together, one row each, by the stacked
-        cut kernel on the subgraph the split holds."""
-        out: list[xp.CutValue | None] = []
-        for j, side in enumerate((self.parts[: self.a], self.parts[self.a:])):
-            if len(side) < 2:
-                out.extend([None] * len(side))
-                continue
-            sub, w_sub = self.split.side(j)
-            label = np.empty(self.graph.n, dtype=int)
-            for i, cls in enumerate(side):
-                label[list(cls)] = i
-            rows = label[list(sub.to_parent)] == np.arange(len(side))[:, None]
-            terms = xp._edge_terms(sub.graph, w_sub)
-            num, w_s, w_rest = xp._cut_values(w_sub, *terms, rows)
-            out.extend(map(xp.CutValue, num.tolist(), np.minimum(w_s, w_rest).tolist()))
-        return out
 
 
 @dataclass(frozen=True)
@@ -200,8 +182,12 @@ class TheoremReport:
 
 
 def _validate_classes(
-    side: str, classes: Sequence[Sequence[int]], support: set[int]
+    s: EigenSplit, j: int, classes: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
+    """The classes of the positive (j = 0) or negative (j = 1) side as
+    sorted tuples, checked to partition that side's support."""
+    side = ("positive", "negative")[j]
+    support = set((s.support.positive, s.support.negative)[j])
     seen: set[int] = set()
     out = []
     for cls in classes:
@@ -240,19 +226,28 @@ def build_proof_objects(
     if d is None:
         K = max(len(pos_classes) + len(neg_classes), k + 1)
         d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
-    return _proof_objects(EigenSplit(g, d, k), pos_classes, neg_classes)
+    s = EigenSplit(g, d, k)
+    sides = [_validate_classes(s, j, cls) for j, cls in enumerate((pos_classes, neg_classes))]
+    cuts: list[xp.CutValue | None] = []
+    for j, side in enumerate(sides):
+        if len(side) < 2:
+            cuts += [None] * len(side)
+            continue
+        sub, w_sub = s.side(j)
+        cuts += [xp.phi(sub.graph, w_sub, np.searchsorted(sub.to_parent, cls)) for cls in side]
+    return _proof_objects(s, *sides, cuts)
 
 
 def _proof_objects(
     s: EigenSplit,
-    pos_classes: Sequence[Sequence[int]],
-    neg_classes: Sequence[Sequence[int]],
+    pos: list[tuple[int, ...]],
+    neg: list[tuple[int, ...]],
+    cuts: Sequence[xp.CutValue | None],
 ) -> ProofObjects:
-    """`build_proof_objects` on the split s."""
+    """`build_proof_objects` on the split s, for validated classes and
+    their cuts, in the same order."""
     g, d, k = s.graph, s.spectrum, s.pair.k
     y, lam = s.pair.y, s.pair.lambda_k
-    pos = _validate_classes("positive", pos_classes, set(s.support.positive))
-    neg = _validate_classes("negative", neg_classes, set(s.support.negative))
     parts = tuple(pos) + tuple(neg)
     if not parts:
         raise CertificateError("no classes given; both supports empty")
@@ -284,9 +279,9 @@ def _proof_objects(
         z=z,
         B=B,
         mu=mu,
+        cuts=tuple(cuts),
         tolerance=s.tolerance,
         spectrum=d,
-        split=s,
     )
     if len(parts) >= 2:
         build_C(p)
@@ -366,11 +361,11 @@ def class_expansions(
 
     A side's support is the union of its classes, which
     `build_proof_objects` has checked to cover it exactly.  The values come
-    from `p.class_cuts`, on the subgraphs of p's split, so g and w must be
-    p's graph and weights."""
+    from `p.cuts`, taken on p's support subgraphs, so g and w must be p's
+    graph and weights."""
     if g != p.graph or w is not p.w and not np.array_equal(w, p.w):
         raise CertificateError("class_expansions needs p's own graph and weights")
-    return [None if cut is None else cut.phi for cut in p.class_cuts]
+    return [None if cut is None else cut.phi for cut in p.cuts]
 
 
 def check_C_diagonal(
@@ -387,7 +382,7 @@ def check_C_diagonal(
     margins = [np.inf]
     # the same-side edges leaving a class are the edges its cut in the
     # side's support subgraph crosses
-    cut_mass = np.array([0.0 if cut is None else cut.numerator for cut in p.class_cuts])
+    cut_mass = np.array([0.0 if cut is None else cut.numerator for cut in p.cuts])
     scale = 1.0 + float(np.max(np.abs(cut_mass)))
     for i in range(p.a + p.b):
         ident = abs(p.C[i, i] * p.z[i] ** 2 - cut_mass[i]) / scale
@@ -491,7 +486,7 @@ def verify_theorem1(
     # the theorem's partition counts use the strict inequality phi < c; a
     # tolerance margin keeps float noise at phi == c from inflating a or b
     c_search = s.c - s.tolerance
-    sides = []
+    sides, cuts = [], []
     for j, nodes in enumerate((s.support.positive, s.support.negative)):
         if not nodes or degenerate:
             sides.append((1, (nodes,)) if nodes else (0, ()))
@@ -502,10 +497,13 @@ def verify_theorem1(
         )
         classes = () if cert is None else cert.classes
         sides.append((k_side, tuple(sub.to_parent_set(cls) for cls in classes)))
+        # the certificate's cuts, taken on this subgraph; a lone class has none
+        cuts += cert.cuts if len(classes) >= 2 else [None] * len(classes)
     (a, pos_cls), (b, neg_cls) = sides
     checks: list[CheckRecord] = []
     if a + b >= 1 and not degenerate:
-        checks = run_checks(_proof_objects(s, pos_cls, neg_cls))
+        pos, neg = (_validate_classes(s, j, cls) for j, cls in enumerate((pos_cls, neg_cls)))
+        checks = run_checks(_proof_objects(s, pos, neg, cuts))
     return TheoremReport(
         graph=g, k=k, values=s.spectrum.values, c=s.c, a=a, b=b,
         a_plus_b_le_k=a + b <= k, mode=mode, checks=checks,

@@ -9,7 +9,7 @@ defined whenever 0 < w(S) < w(V).  The crossing sum runs over edges only;
 nodes of zero weight contribute nothing to either side of the ratio, so
 exact searches enumerate over the positive-weight nodes.
 
-Every direct evaluation of phi (`phi` itself, certificate checks, the
+Every direct evaluation of phi (`phi` itself, certification, the
 heuristic's greedy moves, the exact engine's confirmations) follows one
 summation order on a boolean membership mask: w(S) and w(V \\ S) are each
 summed in node-index order, the crossing terms in edge order, all three
@@ -17,7 +17,9 @@ strictly left to right.  `_cut_value` does this for one set; `_cut_values`
 does it for a stack of sets, with +0.0 in place of the terms left out, which
 gives the same bits.  The last bits of phi therefore do not depend on which
 caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
-comparisons against c and between candidate moves are reproducible.
+comparisons against c and between candidate moves are reproducible.  A
+`PartitionCertificate` carries each class's cut (`CutValue`) as certified,
+and the proof checks read those cuts instead of summing them again.
 Wherever many sets are in play, a cheaper arithmetic screens them first
 with a proven rounding bound, and the kernel confirms: the exact engine's
 table (below) and the heuristic's greedy moves, whose trials are all
@@ -56,14 +58,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import Graph, induced_subgraph, laplacian
+from .spectral import _gamma
 
 EXACT_BIPARTITION_CAP = 20
 EXACT_SET_PARTITION_CAP = 12
 DEFAULT_BUDGET = 1000
 
-# unit roundoff of float64, and an absolute term for the divisions, whose
-# results may fall into gradual underflow
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# an absolute term for the divisions, whose results may fall into gradual
+# underflow
 _UNDERFLOW = 4 * np.finfo(float).smallest_subnormal
 # the kernel runs on blocks of at most this many mask-by-node or mask-by-edge
 # entries
@@ -89,7 +91,8 @@ class CutValue:
 
     @property
     def phi(self) -> float:
-        return self.numerator / self.denominator
+        """The expansion; inf for a set with an empty side (denominator 0)."""
+        return self.numerator / self.denominator if self.denominator > 0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,16 @@ class ExpanderVerdict:
 @dataclass(frozen=True)
 class PartitionCertificate:
     """A verified k-way split: disjoint classes covering the ground set, each
-    with its expansion value computed in the ground graph."""
+    with its kernel cut in the ground graph (none for a single class)."""
 
     classes: tuple[tuple[int, ...], ...]
-    phis: tuple[float, ...]
+    cuts: tuple[CutValue, ...]
     c: float
     valid: bool
+
+    @property
+    def phis(self) -> tuple[float, ...]:
+        return tuple(cut.phi for cut in self.cuts)
 
 
 def _check_weights(g: Graph, w: np.ndarray) -> np.ndarray:
@@ -127,7 +134,7 @@ def _check_search(g: Graph, w: np.ndarray, c: float, mode: str) -> np.ndarray:
     is checked first, so that no input returns early with an unknown one."""
     if mode not in ("exact", "heuristic"):
         raise ExpansionError(f"unknown mode {mode!r}")
-    if c <= 0:
+    if not c > 0:  # NaN fails too
         raise ExpansionError(f"threshold c must be positive, got {c}")
     return _check_weights(g, w)
 
@@ -173,9 +180,10 @@ def _cut_values(
     mask is appended and its column dropped.  On 200,000 masks of 19 terms
     the sum takes about 2 ms, against 10 ms for np.add.accumulate.
 
-    This serves batches of sets.  For one set it is about twice as slow as
-    `_cut_value`: with the greedy moves and certificate checks run through
-    it, the heuristic-large benchmark lost a fifth of its throughput."""
+    This serves the exact engine's batches (`_subset_phis`).  On one set,
+    or a few, it is about twice as slow as `_cut_value`, so certification
+    and the greedy moves sum one set at a time, and their certificates
+    carry those cuts to the proof checks."""
     cols = np.zeros((len(w), len(rows) + 1), dtype=bool)
     cols[:, :-1] = rows.T
     num = np.where(cols[us] != cols[vs], sqrt_e[:, None], 0.0)
@@ -184,18 +192,16 @@ def _cut_values(
     return tuple(np.add.reduce(x, axis=0)[:-1] for x in (num, w_s, w_rest))
 
 
-def _mask_phi(
+def _mask_cut(
     w: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
     sqrt_e: np.ndarray,
     in_s: np.ndarray,
-) -> float:
-    """phi of the masked set, or inf where it is undefined."""
+) -> CutValue:
+    """The cut of the masked set; its phi is inf where it is undefined."""
     num, w_s, w_rest = _cut_value(w, us, vs, sqrt_e, in_s)
-    if w_s <= 0 or w_rest <= 0:
-        return np.inf
-    return num / min(w_s, w_rest)
+    return CutValue(num, min(w_s, w_rest))
 
 
 def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
@@ -218,13 +224,6 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
             f"w(S)={w_s} must lie strictly between 0 and w(V)={w_s + w_rest}"
         )
     return CutValue(numerator=num, denominator=min(w_s, w_rest))
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u): a sum of k + 1 nonnegative floats,
-    in any order, is within gamma_k of its exact value, relatively."""
-    ku = k * _UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
 
 
 def _positive_terms(
@@ -581,34 +580,34 @@ def _attach_zero_weight_nodes(
 def _certify(
     g: Graph, w: np.ndarray, classes: list[list[int]], c: float
 ) -> PartitionCertificate:
-    """Re-verify a candidate partition by direct phi evaluation."""
+    """Re-verify a candidate partition by direct evaluation of its cuts."""
     covered = sorted(itertools.chain.from_iterable(classes))
     if covered != list(range(g.n)):
         raise ExpansionError("classes do not partition the node set")
     if len(classes) == 1:
         valid = float(w.sum()) > 0
         return PartitionCertificate(
-            classes=(tuple(sorted(classes[0])),), phis=(), c=c, valid=valid
+            classes=(tuple(sorted(classes[0])),), cuts=(), c=c, valid=valid
         )
     terms = _edge_terms(g, w)
-    phis = []
+    cuts = []
     for cls in classes:
         in_s = np.zeros(g.n, dtype=bool)
         in_s[cls] = True
-        phis.append(_mask_phi(w, *terms, in_s))
-    return _certificate(classes, phis, c)
+        cuts.append(_mask_cut(w, *terms, in_s))
+    return _certificate(classes, cuts, c)
 
 
 def _certificate(
-    classes: list[list[int]], phis: Sequence[float], c: float
+    classes: list[list[int]], cuts: Sequence[CutValue], c: float
 ) -> PartitionCertificate:
     """The certificate of a partition into two or more classes whose kernel
-    phis are known."""
+    cuts are known."""
     return PartitionCertificate(
         classes=tuple(tuple(sorted(cls)) for cls in classes),
-        phis=tuple(float(p) for p in phis),
+        cuts=tuple(cuts),
         c=c,
-        valid=all(val < c for val in phis),
+        valid=all(cut.phi < c for cut in cuts),
     )
 
 
@@ -683,17 +682,17 @@ def _heuristic_partition(
 ) -> PartitionCertificate | None:
     """Greedy single-node moves from the classes of a split chain, with the
     zero-weight nodes attached, until every class has phi < c or the budget
-    of moves runs out.  A move changes two classes, whose kernel phis it has
-    computed, so the classes are certified by direct phi once, at the start."""
+    of moves runs out.  A move changes two classes, whose kernel cuts it has
+    computed, so the classes are certified by direct evaluation once, first."""
     full = _attach_zero_weight_nodes(g, w, classes)
     cert = _certify(g, w, full, c)
     steps = 0
     while not cert.valid and steps < budget:
         steps += 1
-        phis = _greedy_move(g, w, full, c, cert.phis)
-        if phis is None:
+        cuts = _greedy_move(g, w, full, c, cert.cuts)
+        if cuts is None:
             break
-        cert = _certificate(full, phis, c)
+        cert = _certificate(full, cuts, c)
     return cert if cert.valid else None
 
 
@@ -735,15 +734,15 @@ def _greedy_move(
     w: np.ndarray,
     classes: list[list[int]],
     c: float,
-    phis: Sequence[float],
-) -> list[float] | None:
+    cuts: Sequence[CutValue],
+) -> list[CutValue] | None:
     """Move one boundary node between classes if it lowers the worst phi.
 
-    `classes` are sorted lists that partition the nodes, and `phis` their
-    kernel phi, as `_certify` gives them.  Edges are scanned in order, each
+    `classes` are sorted lists that partition the nodes, and `cuts` their
+    kernel cuts, as `_certify` gives them.  Edges are scanned in order, each
     endpoint in turn, and the first move whose worst class phi falls
     strictly below the current worst, `base`, is made.  Mutates `classes`;
-    returns the kernel phis of the classes after the move, the same bits
+    returns the kernel cuts of the classes after the move, the same bits
     as `_certify` gives, or None when no move is made.
 
     Screen, then confirm.  Moving node a from class ca to class cb changes
@@ -762,9 +761,10 @@ def _greedy_move(
     for ci, cls in enumerate(classes):
         label[cls] = ci
 
-    def class_phi(ci: int) -> float:
-        return _mask_phi(w, *terms, label == ci)
+    def class_cut(ci: int) -> CutValue:
+        return _mask_cut(w, *terms, label == ci)
 
+    phis = [cut.phi for cut in cuts]
     base = max(phis)
 
     # trials in scan order: edge by edge, the move of u to v's class, then
@@ -810,9 +810,9 @@ def _greedy_move(
     for t in keep:
         node, src, dst = int(a[t]), int(ca[t]), int(cb[t])
         label[node] = dst
-        trial = list(phis)
-        trial[src], trial[dst] = class_phi(src), class_phi(dst)
-        if max(trial) < base:
+        trial = list(cuts)
+        trial[src], trial[dst] = class_cut(src), class_cut(dst)
+        if max(cut.phi for cut in trial) < base:
             classes[src].remove(node)
             classes[dst].append(node)
             classes[dst].sort()

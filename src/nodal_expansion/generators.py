@@ -144,12 +144,16 @@ def _uniform_mask(rng: np.random.Generator, bits: int) -> int:
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     """`count` distinct random connected labeled graphs on n nodes, sampled
-    by uniform edge-subset masks with rejection (fixed seed, deterministic)."""
+    by uniform edge-subset masks with rejection (fixed seed, deterministic).
+    Raises GenerationError once every mask has been drawn, when there are
+    fewer than `count` connected graphs on n nodes."""
     all_edges = list(combinations(range(n), 2))
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     produced = 0
     while produced < count:
+        if len(seen) == 1 << len(all_edges):
+            raise GenerationError(f"only {produced} connected graphs on {n} nodes")
         mask = _uniform_mask(rng, len(all_edges))
         if mask in seen:
             continue

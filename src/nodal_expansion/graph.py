@@ -48,12 +48,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
-
     def neighbors(self, i: int) -> list[int]:
         out = []
         for u, v in self.edges:

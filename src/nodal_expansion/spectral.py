@@ -221,7 +221,9 @@ def _inverse_iteration(
 
 def _gamma(m: int) -> float:
     """Higham's gamma_m = m u / (1 - m u), u the unit roundoff: the
-    relative error bound of m rounded operations in sequence."""
+    relative error bound of m rounded operations in sequence; a sum of
+    m + 1 nonnegative floats, in any order, is within gamma_m of its exact
+    value."""
     mu = m * np.finfo(float).eps / 2
     return mu / (1.0 - mu)
 

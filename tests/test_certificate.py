@@ -1,7 +1,11 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
 from nodal_expansion import certificate as ct
+from nodal_expansion import expansion as xp
 from nodal_expansion.generators import enumerate_connected_graphs, gen_gnp
 from nodal_expansion.graph import (
     build_graph,
@@ -282,6 +286,28 @@ def test_each_support_induced_once_per_theorem_call(monkeypatch):
     report = ct.verify_theorem1(g, 4)
     assert (report.a, report.b) == (3, 1)  # class_expansions needs a subgraph
     assert len(calls) == len(set(calls)) == 2
+
+
+def test_each_cut_summed_once_per_theorem_call(monkeypatch):
+    """The checks read each class's cut from the search's certificate: the
+    stacked cut kernel serves only the exact engine's batches."""
+    kernel, calls = xp._cut_values, []
+
+    def counted(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_subset_phis":
+            calls.append(caller)
+        return kernel(*args)
+
+    monkeypatch.setattr(xp, "_cut_values", counted)
+    sides = 0
+    for g in enumerate_connected_graphs(5):
+        for k, mode in itertools.product(range(1, 5), ("exact", "heuristic")):
+            r = ct.verify_theorem1(g, k, mode=mode)
+            if r.checks:
+                sides += (len(r.pos_classes) >= 2) + (len(r.neg_classes) >= 2)
+    assert calls == []
+    assert sides > 1000  # sides whose cuts the C-diagonal check reads
 
 
 def test_class_expansions_needs_the_objects_graph():

@@ -88,6 +88,14 @@ def test_budget_only_where_greedy_moves_use_it(capsys, p3_file):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["expander-check"], ["partition", "--k", "2"]], ids=["expander-check", "partition"]
+)
+def test_nan_threshold_is_a_usage_error(capsys, p3_file, argv):
+    code, out = run_capture(capsys, [*argv, p3_file, "--eigvec", "2", "--c", "nan"])
+    assert code == 2 and out == ""
+
+
 def test_expander_check_weights_file(capsys, p3_file, tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("1.0\n1.0\n1.0\n")

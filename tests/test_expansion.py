@@ -210,12 +210,14 @@ class TestCutKernel:
             classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
             ref = [list(cls) for cls in classes]
             for _ in range(20):
-                made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
+                made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
                 assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                 assert classes == ref
                 if made is None:
                     break
-                assert tuple(made) == _certify(g, w, classes, 0.5).phis  # bit for bit
+                assert list(map(cut_bits, made)) == list(
+                    map(cut_bits, _certify(g, w, classes, 0.5).cuts)
+                )  # bit for bit
                 moves += 1
         assert moves > 40  # the instances exercise the moves, not only "no move"
 
@@ -253,13 +255,15 @@ class TestCutKernel:
                 classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
                 ref = [list(cls) for cls in classes]
                 for _ in range(30):
-                    made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis)
+                    made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
                     assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                     assert classes == ref
                     if made is None:
                         stuck += 1
                         break
-                    assert tuple(made) == _certify(g, w, classes, 0.5).phis
+                    assert list(map(cut_bits, made)) == list(
+                        map(cut_bits, _certify(g, w, classes, 0.5).cuts)
+                    )
                     moves += 1
         assert moves > 100 and stuck > 50
 
@@ -271,9 +275,10 @@ class TestCutKernel:
         g = build_graph(4, [(0, 2), (0, 3), (1, 3)])
         w = np.array([1e-30, 1e-30, 1.0, 1.0])
         classes, ref = [[0], [3], [1, 2]], [[0], [3], [1, 2]]
-        assert _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).phis) is not None
+        made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
         assert greedy_move_reference(g, w, ref, 0.5)
         assert classes == ref == [[0, 2], [3], [1]]
+        assert list(map(cut_bits, made)) == list(map(cut_bits, _certify(g, w, classes, 0.5).cuts))
 
 
 class TestIsExpander:
@@ -667,3 +672,90 @@ def test_unknown_mode_rejected_on_small_inputs(call):
 def test_is_expander_takes_no_budget():
     with pytest.raises(TypeError):
         is_expander(k2(), np.ones(2), 0.5, mode="heuristic", budget=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: is_expander(p3(), ONES3, c),
+        lambda c: find_partition(p3(), ONES3, 2, c),
+        lambda c: max_partitionable(p3(), ONES3, c, mode="heuristic"),
+    ],
+    ids=["is_expander", "find_partition", "max_partitionable"],
+)
+def test_nan_threshold_rejected(call):
+    """NaN passes a test of c <= 0, so the threshold is tested as c > 0."""
+    with pytest.raises(ExpansionError, match="must be positive"):
+        call(float("nan"))
+
+
+def cut_bits(cut):
+    return cut.numerator.hex(), cut.denominator.hex()
+
+
+class TestCarriedCuts:
+    """A certificate carries each class's cut, bit for bit what `phi` gives
+    for the class, and its phis are read from those cuts."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            n = int(rng.integers(3, 10))
+            w = rng.random(n)
+            w[rng.random(n) < 0.15] = 0.0
+            for c in (0.4, 0.9, 1.6):
+                yield gen_gnp(n, 0.5, seed), w, c
+
+    @staticmethod
+    def assert_carried(g, w, cert):
+        assert len(cert.cuts) == len(cert.classes) >= 2
+        for cls, cut in zip(cert.classes, cert.cuts):
+            assert cut_bits(cut) == cut_bits(phi(g, w, cls))
+        assert cert.phis == tuple(cut.numerator / cut.denominator for cut in cert.cuts)
+
+    def test_exact_certificates(self):
+        certs = 0
+        for g, w, c in self.instances():
+            k_best, cert = max_partitionable(g, w, c)
+            for k in range(2, k_best + 1):
+                cert = find_partition(g, w, k, c)
+                self.assert_carried(g, w, cert)
+                certs += 1
+        assert certs > 100
+
+    def test_heuristic_certificates_after_greedy_moves(self, monkeypatch):
+        """Greedy moves from random classes, each certificate counted only
+        when at least one move was made."""
+        moves = []
+        greedy_move = xp._greedy_move
+
+        def counted(*args):
+            made = greedy_move(*args)
+            moves.append(made is not None)
+            return made
+
+        monkeypatch.setattr(xp, "_greedy_move", counted)
+        rng = np.random.default_rng(17)
+        certs = 0
+        for seed, c in itertools.product(range(40), (1.0, 2.0)):
+            n = int(rng.integers(6, 16))
+            g = gen_gnp(n, 0.4, seed)
+            w = rng.random(n)
+            w[rng.random(n) < 0.15] = 0.0
+            for k in (2, 3, 4):
+                labels = rng.integers(0, k, n)
+                labels[:k] = np.arange(k)  # no class is empty
+                classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
+                moves_before = sum(moves)
+                cert = xp._heuristic_partition(g, w, classes, c, xp.DEFAULT_BUDGET)
+                if cert is not None and sum(moves) > moves_before:
+                    self.assert_carried(g, w, cert)
+                    certs += 1
+        assert certs > 50
+
+    def test_single_class_certificates_carry_no_cut(self):
+        for g, w, c in self.instances():
+            for mode in ("exact", "heuristic"):
+                cert = find_partition(g, w, 1, c, mode=mode)
+                assert cert.cuts == () and cert.phis == () and len(cert.classes) == 1

@@ -116,6 +116,15 @@ class TestEnumeration:
         assert len({g.edges for g in graphs}) == 30
         assert all(g.n == 12 and is_connected(g) for g in graphs)
 
+    def test_sampler_stops_when_masks_run_out(self):
+        # 3 nodes have 8 edge masks and 4 connected graphs
+        assert len(list(sample_connected_graphs(3, 4, seed=0))) == 4
+        got = []
+        with pytest.raises(GenerationError, match="only 4 connected graphs"):
+            for g in sample_connected_graphs(3, 5, seed=0):
+                got.append(g)
+        assert len({g.edges for g in got}) == 4
+
     def test_sampler_stream_pinned(self):
         # masks of up to 63 bits are single draws, as they always were: the
         # small-sweep benchmark and criterion 1 rely on this stream
