@@ -124,28 +124,27 @@ def cmd_verify_proof(args) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
-# the parameters of each `gen` family: "i" an integer literal, "f" a finite
-# float; expander-path-expander's third, the path length, is optional
-_GEN_PARAMS = {
-    "path": "i",
-    "cycle": "i",
-    "complete": "i",
-    "gnp": "if",
-    "random_regular": "ii",
-    "expander_path_expander": "iii",
+# each `gen` family: its generator, the kinds of its parameters ("i" an
+# integer literal, "f" a finite float), how many of them it needs (the rest
+# are None when left out) and whether it takes --seed
+_GEN_FAMILIES = {
+    "path": (gen.gen_path, "i", 1, False),
+    "cycle": (gen.gen_cycle, "i", 1, False),
+    "complete": (gen.gen_complete, "i", 1, False),
+    "gnp": (gen.gen_gnp, "if", 2, True),
+    "random-regular": (gen.gen_random_regular, "ii", 2, True),
+    "expander-path-expander": (gen.gen_expander_path_expander, "iii", 2, True),
 }
 
 
 def _gen_params(family: str, texts: list[str]) -> list:
-    """The parameters of a `gen` family, parsed strictly; GenerationError on
-    a wrong count, a non-integer literal or a non-finite float."""
-    kinds = _GEN_PARAMS[family]
-    least = 2 if family == "expander_path_expander" else len(kinds)
+    """The parameters of a `gen` family, parsed strictly and padded with
+    None; GenerationError on a wrong count, a non-integer literal or a
+    non-finite float."""
+    _, kinds, least, _ = _GEN_FAMILIES[family]
     if not least <= len(texts) <= len(kinds):
         count = f"{least} or {len(kinds)}" if least < len(kinds) else str(least)
-        raise gen.GenerationError(
-            f"{family.replace('_', '-')} takes {count} parameters, got {len(texts)}"
-        )
+        raise gen.GenerationError(f"{family} takes {count} parameters, got {len(texts)}")
     out = []
     for kind, text in zip(kinds, texts):
         if kind == "i":
@@ -160,27 +159,13 @@ def _gen_params(family: str, texts: list[str]) -> list:
         if not math.isfinite(x):
             raise gen.GenerationError(f"expected a finite number, got {text!r}")
         out.append(x)
-    return out
+    return out + [None] * (len(kinds) - len(out))
 
 
 def cmd_gen(args) -> int:
-    family = args.family.replace("-", "_")
-    params = _gen_params(family, args.params)
-    if family == "path":
-        g = gen.gen_path(*params)
-    elif family == "cycle":
-        g = gen.gen_cycle(*params)
-    elif family == "complete":
-        g = gen.gen_complete(*params)
-    elif family == "gnp":
-        g = gen.gen_gnp(*params, args.seed)
-    elif family == "random_regular":
-        g = gen.gen_random_regular(*params, args.seed)
-    else:
-        n_block, d, *path_len = params
-        g = gen.gen_expander_path_expander(
-            n_block, d, path_len[0] if path_len else None, args.seed
-        )
+    generator, _, _, seeded = _GEN_FAMILIES[args.family]
+    params = _gen_params(args.family, args.params)
+    g = generator(*params, *([args.seed] if seeded else []))
     text = fileio.format_edge_list(g)
     if args.output:
         with open(args.output, "w") as f:
@@ -298,17 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_proof)
 
     p = sub.add_parser("gen", help="generate a graph family edge list")
-    p.add_argument(
-        "family",
-        choices=[
-            "path",
-            "cycle",
-            "complete",
-            "gnp",
-            "random-regular",
-            "expander-path-expander",
-        ],
-    )
+    p.add_argument("family", choices=list(_GEN_FAMILIES))
     p.add_argument("params", nargs="+")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
@@ -346,7 +321,7 @@ def run(argv=None) -> int:
         hint = "; --mode heuristic gives a lower bound" if hasattr(args, "mode") else ""
         print(f"error: {e}{hint}", file=sys.stderr)
         return EXIT_CAP
-    except (FileNotFoundError, fileio.ParseError, GraphError, ValueError) as e:
+    except (OSError, fileio.ParseError, GraphError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,11 +9,20 @@ defined whenever 0 < w(S) < w(V).  The crossing sum runs over edges only;
 nodes of zero weight contribute nothing to either side of the ratio, so
 exact searches enumerate over the positive-weight nodes.
 
+A search's input is checked once, where it enters: each public function
+(`phi`, `sweep_cut`, `is_expander`, `find_partition`, `max_partitionable`)
+checks its weights, a search its mode and threshold too, and builds one
+`_Input` record of the checked weights, the edge endpoints, the crossing
+terms sqrt(w_u w_v) and the positive-weight nodes.  The private steps take
+that record, check nothing again, and call no public function; only
+`sweep_cut` checks a caller's order, and the internal sweeps run on orders
+they built.
+
 Every direct evaluation of phi (`phi` itself, certification, the
 heuristic's greedy moves, the exact engine's confirmations) follows one
 summation order on a boolean membership mask: w(S) and w(V \\ S) are each
 summed in node-index order, the crossing terms in edge order, all three
-strictly left to right.  `_cut_value` does this for one set; `_cut_values`
+strictly left to right.  `_mask_cut` does this for one set; `_cut_values`
 does it for a stack of sets, with +0.0 in place of the terms left out, which
 gives the same bits.  The last bits of phi therefore do not depend on which
 caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
@@ -57,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, induced_subgraph, laplacian
+from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian
 from .spectral import _gamma
 
 EXACT_BIPARTITION_CAP = 20
@@ -119,24 +128,68 @@ class PartitionCertificate:
         return tuple(cut.phi for cut in self.cuts)
 
 
-def _check_weights(g: Graph, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (g.n,):
-        raise ExpansionError(f"weights shape {w.shape} does not match n={g.n}")
-    # one pass, as cheap as a sign test alone; NaN fails both comparisons
-    if not ((w >= 0) & (w < np.inf)).all():
-        raise ExpansionError("weights must be finite and nonnegative")
-    return w
+@dataclass(frozen=True, eq=False)
+class _Input:
+    """What a search knows about its input (g, w): the checked weights, the
+    edge endpoints in edge order, each edge's crossing term sqrt(w_u w_v),
+    and the positive-weight nodes in ascending order.  `checked` builds a
+    record from a caller's weights and `induced` one from another record,
+    whose weights were checked already, so the weights of a record are
+    always checked and its terms formed once."""
 
+    g: Graph
+    w: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    sqrt_e: np.ndarray
+    pos: list[int]
 
-def _check_search(g: Graph, w: np.ndarray, c: float, mode: str) -> np.ndarray:
-    """The checked weights of a search at threshold c in `mode`; the mode
-    is checked first, so that no input returns early with an unknown one."""
-    if mode not in ("exact", "heuristic"):
-        raise ExpansionError(f"unknown mode {mode!r}")
-    if not c > 0:  # NaN fails too
-        raise ExpansionError(f"threshold c must be positive, got {c}")
-    return _check_weights(g, w)
+    @classmethod
+    def checked(
+        cls, g: Graph, w: np.ndarray, c: float | None = None, mode: str | None = None
+    ) -> _Input:
+        """The record of a caller's (g, w).  A search also names its
+        threshold c and its mode, which are checked too, the mode first, so
+        that no input returns early with an unknown one."""
+        if mode is not None and mode not in ("exact", "heuristic"):
+            raise ExpansionError(f"unknown mode {mode!r}")
+        if c is not None and not 0 < c < np.inf:  # NaN fails too
+            raise ExpansionError(f"threshold c must be positive and finite, got {c}")
+        w = np.asarray(w, dtype=float)
+        if w.shape != (g.n,):
+            raise ExpansionError(f"weights shape {w.shape} does not match n={g.n}")
+        # one pass, as cheap as a sign test alone; NaN fails both comparisons
+        if not ((w >= 0) & (w < np.inf)).all():
+            raise ExpansionError("weights must be finite and nonnegative")
+        us, vs = g.edge_arrays()
+        return cls(g, w, us, vs, np.sqrt(w[us] * w[vs]), np.flatnonzero(w > 0).tolist())
+
+    def restrict(
+        self, nodes: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Weights, edge endpoints (as indices into the ascending `nodes`)
+        and crossing terms of the subgraph induced on `nodes`, in edge
+        order.  On the positive-weight nodes the kernel gives the same bits
+        as on the whole graph: the nodes and edges left out only add +0.0
+        to its sums."""
+        local = np.full(self.g.n, -1)
+        local[nodes] = np.arange(len(nodes))
+        keep = (local[self.us] >= 0) & (local[self.vs] >= 0)
+        return self.w[nodes], local[self.us[keep]], local[self.vs[keep]], self.sqrt_e[keep]
+
+    def induced(self, nodes: list[int]) -> tuple[InducedSubgraph, _Input]:
+        """The subgraph induced on the ascending `nodes` and its record.
+        The subgraph keeps the edge order, so the restricted terms are the
+        ones its record would form from its own weights."""
+        sub = induced_subgraph(self.g, nodes)
+        w, us, vs, sqrt_e = self.restrict(nodes)
+        return sub, _Input(sub.graph, w, us, vs, sqrt_e, np.flatnonzero(w > 0).tolist())
+
+    def mask(self, nodes: Iterable[int]) -> np.ndarray:
+        """The boolean membership mask of `nodes`."""
+        in_s = np.zeros(self.g.n, dtype=bool)
+        in_s[list(nodes)] = True
+        return in_s
 
 
 def _seq_sum(x: np.ndarray) -> float:
@@ -144,23 +197,18 @@ def _seq_sum(x: np.ndarray) -> float:
     return float(np.add.accumulate(x)[-1]) if len(x) else 0.0
 
 
-def _edge_terms(g: Graph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint arrays and the crossing term sqrt(w_u w_v) of every edge."""
-    us, vs = g.edge_arrays()
-    return us, vs, np.sqrt(w[us] * w[vs])
-
-
-def _cut_value(
-    w: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    sqrt_e: np.ndarray,
-    in_s: np.ndarray,
-) -> tuple[float, float, float]:
-    """(crossing sum, w(S), w(V \\ S)) for the set marked by the boolean mask
-    in_s, each summed sequentially in edge or node order."""
-    num = _seq_sum(sqrt_e[in_s[us] != in_s[vs]])
-    return num, _seq_sum(w[in_s]), _seq_sum(w[~in_s])
+def _mask_cut(x: _Input, in_s: np.ndarray, proper: bool = False) -> CutValue:
+    """The kernel cut of the set marked by the boolean mask in_s: the
+    crossing sum, w(S) and w(V \\ S), each summed sequentially in edge or
+    node order.  Its phi is inf where the cut is undefined; with `proper`,
+    an undefined cut raises UndefinedCut instead."""
+    num = _seq_sum(x.sqrt_e[in_s[x.us] != in_s[x.vs]])
+    w_s, w_rest = _seq_sum(x.w[in_s]), _seq_sum(x.w[~in_s])
+    if proper and (w_s <= 0 or w_rest <= 0):
+        raise UndefinedCut(
+            f"w(S)={w_s} must lie strictly between 0 and w(V)={w_s + w_rest}"
+        )
+    return CutValue(num, min(w_s, w_rest))
 
 
 def _cut_values(
@@ -170,7 +218,7 @@ def _cut_values(
     sqrt_e: np.ndarray,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_cut_value` for each row of a stack of boolean masks, bit for bit.
+    """`_mask_cut`'s sums for each row of a stack of boolean masks, bit for bit.
     Each sum runs left to right over all edges or all nodes, and the terms
     that do not belong enter as +0.0, which leaves a sum of nonnegative
     terms unchanged.  The terms are stacked terms-major, one row per edge
@@ -181,7 +229,7 @@ def _cut_values(
     the sum takes about 2 ms, against 10 ms for np.add.accumulate.
 
     This serves the exact engine's batches (`_subset_phis`).  On one set,
-    or a few, it is about twice as slow as `_cut_value`, so certification
+    or a few, it is about twice as slow as `_mask_cut`, so certification
     and the greedy moves sum one set at a time, and their certificates
     carry those cuts to the proof checks."""
     cols = np.zeros((len(w), len(rows) + 1), dtype=bool)
@@ -192,18 +240,6 @@ def _cut_values(
     return tuple(np.add.reduce(x, axis=0)[:-1] for x in (num, w_s, w_rest))
 
 
-def _mask_cut(
-    w: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    sqrt_e: np.ndarray,
-    in_s: np.ndarray,
-) -> CutValue:
-    """The cut of the masked set; its phi is inf where it is undefined."""
-    num, w_s, w_rest = _cut_value(w, us, vs, sqrt_e, in_s)
-    return CutValue(num, min(w_s, w_rest))
-
-
 def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     """Expansion of S; raises UndefinedCut unless 0 < w(S) < w(V).
 
@@ -211,40 +247,21 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     as w(V) - w(S)) and the crossing terms in edge order, so
     phi(S) == phi(V \\ S) holds exactly in floating point.
     """
-    w = _check_weights(g, w)
+    x = _Input.checked(g, w)
     in_s = np.zeros(g.n, dtype=bool)
     for i in S:
         i = int(i)
         if not 0 <= i < g.n:
             raise ExpansionError(f"node {i} outside [0,{g.n})")
         in_s[i] = True
-    num, w_s, w_rest = _cut_value(w, *_edge_terms(g, w), in_s)
-    if w_s <= 0 or w_rest <= 0:
-        raise UndefinedCut(
-            f"w(S)={w_s} must lie strictly between 0 and w(V)={w_s + w_rest}"
-        )
-    return CutValue(numerator=num, denominator=min(w_s, w_rest))
-
-
-def _positive_terms(
-    g: Graph, w: np.ndarray, pos: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, edge endpoints (as indices into `pos`) and crossing terms of
-    the subgraph on the positive-weight nodes `pos`.  The kernel gives the
-    same bits on these as on the whole graph: the nodes and edges left out
-    only add +0.0 to its sums."""
-    us, vs, sqrt_e = _edge_terms(g, w)
-    local = np.full(g.n, -1)
-    local[pos] = np.arange(len(pos))
-    keep = (local[us] >= 0) & (local[vs] >= 0)
-    return w[pos], local[us[keep]], local[vs[keep]], sqrt_e[keep]
+    return _mask_cut(x, in_s, proper=True)
 
 
 def _phi_table(
     g: Graph, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The half table: phi of every subset of the positive-weight nodes pos
-    (whose `_positive_terms` are `terms`) that leaves out pos[0], with inf
+    (whose restricted terms are `terms`) that leaves out pos[0], with inf
     for the empty set; and a bound on the distance from each entry to the
     kernel's value of the same set.  Entry i is the set of bitmask 2i (bit
     j stands for pos[j]); its complement, the odd mask 2^p - 1 - 2i, has
@@ -314,10 +331,11 @@ def _subset_phis(
     return out
 
 
-def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
+def _exact_min_phi(x: _Input) -> tuple[float, tuple[int, ...]]:
     """Minimum kernel phi over all bipartitions with 0 < w(S) < w(V), and
     the minimizing positive-weight set that leaves out the lowest
-    positive-weight node and has the lowest mask among the minimizers.
+    positive-weight node and has the lowest mask among the minimizers; for
+    two or more positive-weight nodes.
 
     The table screens: no set's kernel value lies below its table value
     minus its bound, nor below 0, and the table's minimum plus its bound
@@ -326,11 +344,8 @@ def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
     the sets whose lower bound lies below the best kernel value found stay,
     since a later set can at most tie it and loses the tie on its mask.  A
     set at phi 0 therefore ends the search."""
-    pos = [i for i in range(g.n) if w[i] > 0]
-    if len(pos) < 2:
-        raise UndefinedCut("fewer than two positive-weight nodes; no proper cut")
-    terms = _positive_terms(g, w, pos)
-    half, err = _phi_table(g, terms)
+    terms = x.restrict(x.pos)
+    half, err = _phi_table(x.g, terms)
     lo = np.maximum(half - err, 0.0)
     i = int(np.argmin(half))
     cand = np.flatnonzero(lo <= half[i] + err[i])
@@ -343,7 +358,7 @@ def _exact_min_phi(g: Graph, w: np.ndarray) -> tuple[float, tuple[int, ...]]:
             best, best_i = vals[j], int(block[j])
         cand = cand[lo[cand] < best]
         size *= 4
-    witness = tuple(node for b, node in enumerate(pos) if 2 * best_i >> b & 1)
+    witness = tuple(node for b, node in enumerate(x.pos) if 2 * best_i >> b & 1)
     return float(best), witness
 
 
@@ -358,50 +373,46 @@ def is_expander(g: Graph, w: np.ndarray, c: float, mode: str = "exact") -> Expan
     It is a proof either way.  Heuristic mode runs sweep cuts and is a proof
     only when it finds a witness.
     """
-    w = _check_search(g, w, c, mode)
-    if float(w.sum()) <= 0:
+    x = _Input.checked(g, w, c, mode)
+    if not x.pos:
         raise ExpansionError("total weight must be positive")
-    n_pos = int(np.count_nonzero(w > 0))
-    if n_pos < 2:
+    if len(x.pos) < 2:
         # no proper cut exists: vacuously an expander
         return ExpanderVerdict(is_expander=True, c=c, witness=None, mode=mode)
     if mode == "exact":
-        if n_pos > EXACT_BIPARTITION_CAP:
+        if len(x.pos) > EXACT_BIPARTITION_CAP:
             raise ExactCapExceeded(
-                f"{n_pos} positive-weight nodes exceed exact bipartition cap "
+                f"{len(x.pos)} positive-weight nodes exceed exact bipartition cap "
                 f"{EXACT_BIPARTITION_CAP}"
             )
-        min_phi, witness = _exact_min_phi(g, w)
+        min_phi, witness = _exact_min_phi(x)
         if min_phi < c:
             return ExpanderVerdict(False, c, witness, "exact", min_phi)
         return ExpanderVerdict(True, c, None, "exact", min_phi)
-    best: tuple[float, tuple[int, ...]] | None = None
-    for order in _candidate_orders(g, w):
-        S, cut = sweep_cut(g, w, order)
-        if best is None or cut.phi < best[0]:
-            best = (cut.phi, S)
+    # the first of the lowest sweep cuts
+    S, cut = min((_sweep(x, order) for order in _candidate_orders(x)), key=lambda r: r[1].phi)
     # re-verify the witness by direct evaluation; an explicit test, since
     # `python -O` strips asserts
-    if best is not None and best[0] < c and phi(g, w, best[1]).phi < c:
-        return ExpanderVerdict(False, c, best[1], "heuristic", best[0])
-    return ExpanderVerdict(True, c, None, "heuristic", best[0] if best else None)
+    if cut.phi < c and _mask_cut(x, x.mask(S), proper=True).phi < c:
+        return ExpanderVerdict(False, c, S, "heuristic", cut.phi)
+    return ExpanderVerdict(True, c, None, "heuristic", cut.phi)
 
 
-def _fiedler_order(g: Graph, w: np.ndarray) -> list[int]:
+def _fiedler_order(x: _Input) -> list[int]:
     """Nodes sorted by the Fiedler vector of the Laplacian, positive-weight
     nodes first, index as final tie-break."""
-    if g.n == 1:
+    if x.g.n == 1:
         return [0]
-    L = laplacian(g)
-    _, vecs = np.linalg.eigh(L)
+    _, vecs = np.linalg.eigh(laplacian(x.g))
     f = vecs[:, 1]
-    return sorted(range(g.n), key=lambda i: (w[i] <= 0, float(f[i]), i))
+    return sorted(range(x.g.n), key=lambda i: (x.w[i] <= 0, float(f[i]), i))
 
 
-def _candidate_orders(g: Graph, w: np.ndarray) -> list[list[int]]:
-    orders = [_fiedler_order(g, w)]
-    orders.append(sorted(range(g.n), key=lambda i: (w[i] <= 0, -w[i], i)))
-    orders.append(sorted(range(g.n), key=lambda i: (w[i] <= 0, i)))
+def _candidate_orders(x: _Input) -> list[list[int]]:
+    w = x.w
+    orders = [_fiedler_order(x)]
+    orders.append(sorted(range(x.g.n), key=lambda i: (w[i] <= 0, -w[i], i)))
+    orders.append(sorted(range(x.g.n), key=lambda i: (w[i] <= 0, i)))
     return orders
 
 
@@ -413,37 +424,39 @@ def sweep_cut(
     `order` must be a permutation of the nodes with positive-weight nodes
     first.  Raises if the weights are all zero.
     """
-    w = _check_weights(g, w)
-    if float(w.sum()) <= 0:
+    x = _Input.checked(g, w)
+    if not x.pos:
         raise ExpansionError("all-zero weights")
     order = [int(i) for i in order]
     if sorted(order) != list(range(g.n)):
         raise ExpansionError("order is not a permutation of the nodes")
-    seen_zero = False
-    for i in order:
-        if w[i] <= 0:
-            seen_zero = True
-        elif seen_zero:
-            raise ExpansionError("positive-weight nodes must precede zero-weight ones")
+    if not (x.w[order[: len(x.pos)]] > 0).all():
+        raise ExpansionError("positive-weight nodes must precede zero-weight ones")
+    return _sweep(x, order)
+
+
+def _sweep(x: _Input, order: list[int]) -> tuple[tuple[int, ...], CutValue]:
+    """`sweep_cut` on a record with a positive weight, for an order that is
+    a permutation of its nodes with the positive-weight nodes first.  The
+    winning prefix is evaluated again by the kernel, which gives its cut."""
+    w, us, vs, sqrt_e = x.w, x.us, x.vs, x.sqrt_e
     total = float(w.sum())
     best: tuple[float, int] | None = None
     w_s = 0.0
-    in_s = np.zeros(g.n, dtype=bool)
-    us, vs = g.edge_arrays()
-    sqrt_e = np.sqrt(w[us] * w[vs]) if len(us) else np.zeros(0)
+    in_s = np.zeros(x.g.n, dtype=bool)
     for t, node in enumerate(order[:-1], start=1):
         in_s[node] = True
         w_s += float(w[node])
         if not 0 < w_s < total:
             continue
-        num = float(sqrt_e[in_s[us] ^ in_s[vs]].sum()) if len(us) else 0.0
+        num = float(sqrt_e[in_s[us] ^ in_s[vs]].sum())
         val = num / min(w_s, total - w_s)
         if best is None or val < best[0]:
             best = (val, t)
     if best is None:
         raise UndefinedCut("no prefix with proper weight")
     S = tuple(sorted(order[: best[1]]))
-    return S, phi(g, w, S)
+    return S, _mask_cut(x, x.mask(S), proper=True)
 
 
 def _largest_partition(qualifying: list[bool]) -> list[int]:
@@ -488,12 +501,12 @@ def _largest_partition(qualifying: list[bool]) -> list[int]:
     return classes
 
 
-def _qualifying(g: Graph, w: np.ndarray, pos: list[int], c: float) -> list[bool]:
-    """Whether each subset of the positive-weight nodes `pos`, by bitmask,
-    has kernel phi below c.  The table decides where its value lies further
+def _qualifying(x: _Input, c: float) -> list[bool]:
+    """Whether each subset of the positive-weight nodes, by bitmask, has
+    kernel phi below c.  The table decides where its value lies further
     from c than its bound; the kernel decides every other set."""
-    terms = _positive_terms(g, w, pos)
-    half, err = _phi_table(g, terms)
+    terms = x.restrict(x.pos)
+    half, err = _phi_table(x.g, terms)
     below = half < c
     near = np.flatnonzero(np.abs(half - c) <= err)
     if len(near):
@@ -506,7 +519,7 @@ def _qualifying(g: Graph, w: np.ndarray, pos: list[int], c: float) -> list[bool]
 
 
 def _exact_partition(
-    g: Graph, w: np.ndarray, c: float, k: int | None = None
+    x: _Input, c: float, k: int | None = None
 ) -> PartitionCertificate | None:
     """Certified partition into k classes of phi < c, or into as many as
     possible when k is None; None when fewer than max(k, 2) classes exist.
@@ -518,13 +531,13 @@ def _exact_partition(
     classes can still reach c; the DP classes that make it up then leave
     the qualifying set and the DP runs again.
     """
-    pos = [i for i in range(g.n) if w[i] > 0]
+    pos = x.pos
     if len(pos) > EXACT_SET_PARTITION_CAP:
         raise ExactCapExceeded(
             f"{len(pos)} positive-weight nodes exceed set-partition cap "
             f"{EXACT_SET_PARTITION_CAP}"
         )
-    qualifying = _qualifying(g, w, pos, c)
+    qualifying = _qualifying(x, c)
     while True:
         found = _largest_partition(qualifying)
         if len(found) < (2 if k is None else k):
@@ -540,7 +553,7 @@ def _exact_partition(
                 merged |= q
             masks = found[: k - 1] + [merged]
         classes = [[node for j, node in enumerate(pos) if q >> j & 1] for q in masks]
-        cert = _certify(g, w, _attach_zero_weight_nodes(g, w, classes), c)
+        cert = _certify(x, _attach_zero_weight_nodes(x, classes), c)
         if cert.valid:
             return cert
         for q, val in zip(masks, cert.phis):
@@ -550,11 +563,10 @@ def _exact_partition(
                         qualifying[part] = False
 
 
-def _attach_zero_weight_nodes(
-    g: Graph, w: np.ndarray, classes: list[list[int]]
-) -> list[list[int]]:
+def _attach_zero_weight_nodes(x: _Input, classes: list[list[int]]) -> list[list[int]]:
     """Assign zero-weight nodes to the class of their lowest-index assigned
     neighbor (iterated); stragglers join the first class."""
+    g = x.g
     assign = {}
     for ci, cls in enumerate(classes):
         for i in cls:
@@ -577,25 +589,13 @@ def _attach_zero_weight_nodes(
     return out
 
 
-def _certify(
-    g: Graph, w: np.ndarray, classes: list[list[int]], c: float
-) -> PartitionCertificate:
-    """Re-verify a candidate partition by direct evaluation of its cuts."""
+def _certify(x: _Input, classes: list[list[int]], c: float) -> PartitionCertificate:
+    """Re-verify a candidate partition into two or more classes by direct
+    evaluation of its cuts."""
     covered = sorted(itertools.chain.from_iterable(classes))
-    if covered != list(range(g.n)):
+    if covered != list(range(x.g.n)):
         raise ExpansionError("classes do not partition the node set")
-    if len(classes) == 1:
-        valid = float(w.sum()) > 0
-        return PartitionCertificate(
-            classes=(tuple(sorted(classes[0])),), cuts=(), c=c, valid=valid
-        )
-    terms = _edge_terms(g, w)
-    cuts = []
-    for cls in classes:
-        in_s = np.zeros(g.n, dtype=bool)
-        in_s[cls] = True
-        cuts.append(_mask_cut(w, *terms, in_s))
-    return _certificate(classes, cuts, c)
+    return _certificate(classes, [_mask_cut(x, x.mask(cls)) for cls in classes], c)
 
 
 def _certificate(
@@ -609,6 +609,14 @@ def _certificate(
         c=c,
         valid=all(cut.phi < c for cut in cuts),
     )
+
+
+def _whole(x: _Input, c: float) -> PartitionCertificate | None:
+    """The k = 1 certificate, one class with no cut to measure; None when
+    every weight is zero."""
+    if not x.pos:
+        return None
+    return PartitionCertificate(classes=(tuple(range(x.g.n)),), cuts=(), c=c, valid=True)
 
 
 def find_partition(
@@ -629,45 +637,41 @@ def find_partition(
     greedy moves from them; its None proves nothing.  Every returned
     certificate has been re-verified by direct phi evaluation.
     """
-    w = _check_search(g, w, c, mode)
+    x = _Input.checked(g, w, c, mode)
     if k < 1:
         raise ExpansionError(f"k must be at least 1, got {k}")
     if k == 1:
-        if float(w.sum()) <= 0:
-            return None
-        return _certify(g, w, [list(range(g.n))], c)
-    if int(np.count_nonzero(w > 0)) < k:
+        return _whole(x, c)
+    if len(x.pos) < k:
         return None
     if mode == "exact":
-        return _exact_partition(g, w, c, k)
-    classes = next(itertools.islice(_split_chain(g, w), k - 1, None), None)
+        return _exact_partition(x, c, k)
+    classes = next(itertools.islice(_split_chain(x), k - 1, None), None)
     if classes is None:
         return None
-    return _heuristic_partition(g, w, classes, c, budget)
+    return _heuristic_partition(x, classes, c, budget)
 
 
-def _split_chain(g: Graph, w: np.ndarray) -> Iterator[list[list[int]]]:
+def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
     """The classes of the positive-weight nodes after 0, 1, 2, ... splits,
     until no class can be split.  Each split cuts the heaviest class that a
     Fiedler sweep can split.  A split depends only on the class it cuts, so
     the classes after j splits are the same whichever k asks for them."""
-    classes: list[list[int]] = [[i for i in range(g.n) if w[i] > 0]]
+    classes: list[list[int]] = [list(x.pos)]
     while True:
         yield list(classes)
         order_idx = sorted(
             range(len(classes)),
-            key=lambda ci: -float(sum(w[i] for i in classes[ci])),
+            key=lambda ci: -float(sum(x.w[i] for i in classes[ci])),
         )
         for ci in order_idx:
             cls = classes[ci]
             if len(cls) < 2:
                 continue
-            sub = induced_subgraph(g, cls)
-            w_sub = w[list(sub.to_parent)]
+            sub, y = x.induced(cls)
             try:
-                order = _fiedler_order(sub.graph, w_sub)
-                S, _ = sweep_cut(sub.graph, w_sub, order)
-            except ExpansionError:
+                S, _ = _sweep(y, _fiedler_order(y))
+            except UndefinedCut:
                 continue
             part_a = list(sub.to_parent_set(S))
             classes[ci] = part_a
@@ -678,18 +682,18 @@ def _split_chain(g: Graph, w: np.ndarray) -> Iterator[list[list[int]]]:
 
 
 def _heuristic_partition(
-    g: Graph, w: np.ndarray, classes: list[list[int]], c: float, budget: int
+    x: _Input, classes: list[list[int]], c: float, budget: int
 ) -> PartitionCertificate | None:
     """Greedy single-node moves from the classes of a split chain, with the
     zero-weight nodes attached, until every class has phi < c or the budget
     of moves runs out.  A move changes two classes, whose kernel cuts it has
     computed, so the classes are certified by direct evaluation once, first."""
-    full = _attach_zero_weight_nodes(g, w, classes)
-    cert = _certify(g, w, full, c)
+    full = _attach_zero_weight_nodes(x, classes)
+    cert = _certify(x, full, c)
     steps = 0
     while not cert.valid and steps < budget:
         steps += 1
-        cuts = _greedy_move(g, w, full, c, cert.cuts)
+        cuts = _greedy_move(x, full, cert.cuts)
         if cuts is None:
             break
         cert = _certificate(full, cuts, c)
@@ -730,11 +734,7 @@ def _moved_phi_floor(
 
 
 def _greedy_move(
-    g: Graph,
-    w: np.ndarray,
-    classes: list[list[int]],
-    c: float,
-    cuts: Sequence[CutValue],
+    x: _Input, classes: list[list[int]], cuts: Sequence[CutValue]
 ) -> list[CutValue] | None:
     """Move one boundary node between classes if it lowers the worst phi.
 
@@ -755,14 +755,14 @@ def _greedy_move(
     The kernel evaluates the rest in scan order and alone decides, so the
     move made is the one that evaluating every trial by the kernel would
     make."""
-    us, vs, sqrt_e = terms = _edge_terms(g, w)
+    g, w, us, vs, sqrt_e = x.g, x.w, x.us, x.vs, x.sqrt_e
     k = len(classes)
     label = np.empty(g.n, dtype=int)
     for ci, cls in enumerate(classes):
         label[cls] = ci
 
     def class_cut(ci: int) -> CutValue:
-        return _mask_cut(w, *terms, label == ci)
+        return _mask_cut(x, label == ci)
 
     phis = [cut.phi for cut in cuts]
     base = max(phis)
@@ -781,7 +781,7 @@ def _greedy_move(
     cut = np.bincount(lu[cross], sqrt_e[cross], k) + np.bincount(lv[cross], sqrt_e[cross], k)
     w_in = np.bincount(label, w, k)
     w_out = np.where(np.eye(k, dtype=bool), 0.0, w_in).sum(axis=1)
-    n_in = np.bincount(label[w > 0], minlength=k)
+    n_in = np.bincount(label[x.pos], minlength=k)
     n_out = n_in.sum() - n_in
     by_class = np.bincount(us * k + lv, sqrt_e, g.n * k) + np.bincount(
         vs * k + lu, sqrt_e, g.n * k
@@ -838,21 +838,20 @@ def max_partitionable(
     for k - 1 with one more split, and each k runs the greedy moves from
     them, so every certificate equals find_partition's for the same k.
     """
-    w = _check_search(g, w, c, mode)
-    n_pos = int(np.count_nonzero(w > 0))
-    if mode == "exact" and n_pos >= 2:
-        cert = _exact_partition(g, w, c)
+    x = _Input.checked(g, w, c, mode)
+    if mode == "exact" and len(x.pos) >= 2:
+        cert = _exact_partition(x, c)
         if cert is not None:
             return len(cert.classes), cert
-    best_cert = find_partition(g, w, 1, c)
+    best_cert = _whole(x, c)
     if best_cert is None:
         return 0, None
-    if mode == "exact" or n_pos < 2:
+    if mode == "exact":
         return 1, best_cert
     best_k = 1
     # the chain's first entry, the unsplit support, is k = 1
-    for k, classes in enumerate(itertools.islice(_split_chain(g, w), 1, None), start=2):
-        cert = _heuristic_partition(g, w, classes, c, budget)
+    for k, classes in enumerate(itertools.islice(_split_chain(x), 1, None), start=2):
+        cert = _heuristic_partition(x, classes, c, budget)
         if cert is None:
             break
         best_k, best_cert = k, cert

@@ -310,6 +310,31 @@ def test_each_cut_summed_once_per_theorem_call(monkeypatch):
     assert sides > 1000  # sides whose cuts the C-diagonal check reads
 
 
+def test_theorem_search_enters_the_public_api_once_per_side(monkeypatch):
+    """verify_theorem1 reaches the search only through max_partitionable,
+    which checks each side's weights once; no private step re-enters a
+    public function, so find_partition, phi and sweep_cut are never called."""
+    calls = {name: 0 for name in ("max_partitionable", "find_partition", "phi", "sweep_cut")}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(xp, name, counted(name, getattr(xp, name)))
+    builds, checked = [], xp._Input.checked
+    monkeypatch.setattr(xp._Input, "checked", lambda *a: builds.append(1) or checked(*a))
+    for g in enumerate_connected_graphs(5):
+        for k, mode in itertools.product(range(1, 5), ("exact", "heuristic")):
+            ct.verify_theorem1(g, k, mode=mode)
+    assert calls["max_partitionable"] > 1000
+    assert calls["find_partition"] == calls["phi"] == calls["sweep_cut"] == 0
+    assert len(builds) == calls["max_partitionable"]
+
+
 def test_class_expansions_needs_the_objects_graph():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])

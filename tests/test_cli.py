@@ -92,8 +92,9 @@ def test_budget_only_where_greedy_moves_use_it(capsys, p3_file):
     "argv", [["expander-check"], ["partition", "--k", "2"]], ids=["expander-check", "partition"]
 )
 def test_nan_threshold_is_a_usage_error(capsys, p3_file, argv):
-    code, out = run_capture(capsys, [*argv, p3_file, "--eigvec", "2", "--c", "nan"])
-    assert code == 2 and out == ""
+    for c in ("nan", "inf"):
+        code, out = run_capture(capsys, [*argv, p3_file, "--eigvec", "2", "--c", c])
+        assert code == 2 and out == "", c
 
 
 def test_expander_check_weights_file(capsys, p3_file, tmp_path):
@@ -336,6 +337,21 @@ def test_exit_code_usage_errors(capsys, p4_file, tmp_path):
     ):
         assert cli.run(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_unreadable_path_is_a_usage_error(capsys, p4_file, tmp_path):
+    """A directory where a file is named raises an OSError other than
+    FileNotFoundError; it exits 2 with a message, not 1 with a traceback."""
+    neg = tmp_path / "neg.txt"
+    neg.write_text("2 3\n")
+    for argv in (
+        ["analyze", str(tmp_path), "--k", "2"],
+        ["verify-proof", p4_file, "--k", "2", "--pos", str(tmp_path), "--neg", str(neg)],
+        ["gen", "path", "3", "-o", str(tmp_path)],
+    ):
+        assert cli.run(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:"), argv
 
 
 def test_exit_code_check_failure(capsys, p4_file, monkeypatch):

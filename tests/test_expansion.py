@@ -15,11 +15,12 @@ import nodal_expansion.expansion as xp
 from nodal_expansion.expansion import (
     ExactCapExceeded,
     ExpansionError,
+    PartitionCertificate,
     UndefinedCut,
     _certify,
     _cut_values,
-    _edge_terms,
     _greedy_move,
+    _Input,
     _qualifying,
     find_partition,
     is_expander,
@@ -167,7 +168,8 @@ class TestCutKernel:
         rows[0, S] = True
         rows[1] = ~rows[0]
         rows[2] = flips[: g.n]
-        num, w_s, w_rest = _cut_values(w, *_edge_terms(g, w), rows)
+        x = _Input.checked(g, w)
+        num, w_s, w_rest = _cut_values(x.w, x.us, x.vs, x.sqrt_e, rows)
         for r, row in enumerate(rows):
             ref = sequential_cut(g, w, np.flatnonzero(row))
             assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
@@ -180,13 +182,14 @@ class TestCutKernel:
         rows[0] = False
         rows[1] = True
         rows[2, S] = True
-        terms = _edge_terms(g, w)
-        num, w_s, w_rest = _cut_values(w, *terms, rows)
+        x = _Input.checked(g, w)
+        terms = x.w, x.us, x.vs, x.sqrt_e
+        num, w_s, w_rest = _cut_values(*terms, rows)
         for r, row in enumerate(rows):
             ref = sequential_cut(g, w, np.flatnonzero(row))
             assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
             if r < 8:  # the same rows as one-mask stacks
-                one = _cut_values(w, *terms, rows[r : r + 1])
+                one = _cut_values(*terms, rows[r : r + 1])
                 assert (one[0][0], one[1][0], one[2][0]) == ref
 
     def test_greedy_move_matches_reference(self):
@@ -209,14 +212,15 @@ class TestCutKernel:
             labels = rng.integers(0, k, n)
             classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
             ref = [list(cls) for cls in classes]
+            x = _Input.checked(g, w)
             for _ in range(20):
-                made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
+                made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
                 assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                 assert classes == ref
                 if made is None:
                     break
                 assert list(map(cut_bits, made)) == list(
-                    map(cut_bits, _certify(g, w, classes, 0.5).cuts)
+                    map(cut_bits, _certify(x, classes, 0.5).cuts)
                 )  # bit for bit
                 moves += 1
         assert moves > 40  # the instances exercise the moves, not only "no move"
@@ -254,15 +258,16 @@ class TestCutKernel:
                     w[rng.permutation(n)[: n // 3]] = 1e-30
                 classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
                 ref = [list(cls) for cls in classes]
+                x = _Input.checked(g, w)
                 for _ in range(30):
-                    made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
+                    made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
                     assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
                     assert classes == ref
                     if made is None:
                         stuck += 1
                         break
                     assert list(map(cut_bits, made)) == list(
-                        map(cut_bits, _certify(g, w, classes, 0.5).cuts)
+                        map(cut_bits, _certify(x, classes, 0.5).cuts)
                     )
                     moves += 1
         assert moves > 100 and stuck > 50
@@ -275,10 +280,11 @@ class TestCutKernel:
         g = build_graph(4, [(0, 2), (0, 3), (1, 3)])
         w = np.array([1e-30, 1e-30, 1.0, 1.0])
         classes, ref = [[0], [3], [1, 2]], [[0], [3], [1, 2]]
-        made = _greedy_move(g, w, classes, 0.5, _certify(g, w, classes, 0.5).cuts)
+        x = _Input.checked(g, w)
+        made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
         assert greedy_move_reference(g, w, ref, 0.5)
         assert classes == ref == [[0, 2], [3], [1]]
-        assert list(map(cut_bits, made)) == list(map(cut_bits, _certify(g, w, classes, 0.5).cuts))
+        assert list(map(cut_bits, made)) == list(map(cut_bits, _certify(x, classes, 0.5).cuts))
 
 
 class TestIsExpander:
@@ -436,6 +442,11 @@ class TestSweepCut:
         with pytest.raises(ExpansionError):
             sweep_cut(p3(), np.zeros(3), [0, 1, 2])
 
+    @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 2, 3]])
+    def test_rejects_order_not_a_permutation(self, order):
+        with pytest.raises(ExpansionError, match="not a permutation"):
+            sweep_cut(p3(), ONES3, order)
+
 
 class TestFindPartition:
     def test_trivial_k1(self):
@@ -584,7 +595,7 @@ class TestScreenedTable:
     def test_matches_kernel_oracle(self, gwtc):
         g, w, table, c = gwtc
         pos = [i for i in range(g.n) if w[i] > 0]
-        assert _qualifying(g, w, pos, c) == [v < c for v in table]
+        assert _qualifying(_Input.checked(g, w), c) == [v < c for v in table]
         # the minimum over the sets without pos[0], and the lowest such mask
         # among the minimizers
         best = min(table[0::2])
@@ -612,12 +623,12 @@ class TestMaxPartitionable:
         splits, built = [], []
         fiedler, heuristic = xp._fiedler_order, xp._heuristic_partition
 
-        def fiedler_spy(g, w):
-            splits.append(g.n)
-            return fiedler(g, w)
+        def fiedler_spy(x):
+            splits.append(x.g.n)
+            return fiedler(x)
 
-        def heuristic_spy(g, w, classes, c, budget):
-            cert = heuristic(g, w, classes, c, budget)
+        def heuristic_spy(x, classes, c, budget):
+            cert = heuristic(x, classes, c, budget)
             built.append((len(classes), cert))
             return cert
 
@@ -669,6 +680,31 @@ def test_unknown_mode_rejected_on_small_inputs(call):
         call()
 
 
+def test_one_checked_input_per_search_call(monkeypatch):
+    """Each public search call checks its input and forms its edge terms in
+    one record, in both modes, on every exit: k = 1, fewer than two
+    positive-weight nodes, all-zero weights, and the searches themselves,
+    whose heuristic splits derive their records from it."""
+    builds, checked = [], xp._Input.checked
+    monkeypatch.setattr(xp._Input, "checked", lambda *a: builds.append(1) or checked(*a))
+    g = gen_path(10)
+    rng = np.random.default_rng(5)
+    weights = [np.ones(10), rng.random(10) * (rng.random(10) > 0.3), np.eye(10)[3], np.zeros(10)]
+    splits = {"exact": 0, "heuristic": 0}
+    for w, mode, c in itertools.product(weights, ("exact", "heuristic"), (0.3, 2.0)):
+        searches = [lambda: is_expander(g, w, c, mode), lambda: max_partitionable(g, w, c, mode)]
+        searches += [lambda k=k: find_partition(g, w, k, c, mode) for k in range(1, 5)]
+        for search in searches:
+            builds.clear()
+            try:
+                cert = search()
+            except ExpansionError:  # is_expander on all-zero weights
+                cert = None
+            assert len(builds) == 1
+            splits[mode] += isinstance(cert, PartitionCertificate) and len(cert.classes) > 2
+    assert min(splits.values()) >= 4  # the searches ran, beyond the early exits
+
+
 def test_is_expander_takes_no_budget():
     with pytest.raises(TypeError):
         is_expander(k2(), np.ones(2), 0.5, mode="heuristic", budget=10)
@@ -684,9 +720,11 @@ def test_is_expander_takes_no_budget():
     ids=["is_expander", "find_partition", "max_partitionable"],
 )
 def test_nan_threshold_rejected(call):
-    """NaN passes a test of c <= 0, so the threshold is tested as c > 0."""
-    with pytest.raises(ExpansionError, match="must be positive"):
-        call(float("nan"))
+    """NaN passes a test of c <= 0, so the threshold is tested as
+    0 < c < inf, which rejects an infinite one too."""
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(ExpansionError, match="must be positive"):
+            call(c)
 
 
 def cut_bits(cut):
@@ -748,7 +786,9 @@ class TestCarriedCuts:
                 labels[:k] = np.arange(k)  # no class is empty
                 classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
                 moves_before = sum(moves)
-                cert = xp._heuristic_partition(g, w, classes, c, xp.DEFAULT_BUDGET)
+                cert = xp._heuristic_partition(
+                    xp._Input.checked(g, w), classes, c, xp.DEFAULT_BUDGET
+                )
                 if cert is not None and sum(moves) > moves_before:
                     self.assert_carried(g, w, cert)
                     certs += 1

@@ -1,4 +1,5 @@
-"""Dump verification reports as JSON lines, for bit-identity checks.
+"""Dump verification reports and search results as JSON lines, for
+bit-identity checks.
 
     python3 tools/dump_reports.py [--max-n N] [--mode exact|heuristic] > out.jsonl
 
@@ -8,18 +9,31 @@ per `verify_theorem1(g, k, mode)` report, k = 1..n-1, and one line per
 a + b >= 1 it writes one line of `run_checks` on `build_proof_objects` for
 the report's classes, the path that `verify-proof` takes, which evaluates
 each class with `phi` rather than reading the search's cuts; each check
-with its flags.  Every float is written as
-`float.hex`, so two dumps are equal exactly when every report is equal bit
-for bit, signed zeros included.  Run it from the root of a checkout (the
-package is imported from ./src) on two revisions and `diff` the outputs.
+with its flags.
+
+Eigenvector weights never put a zero-weight node in a support, so each graph
+also gets seeded weights of its own, about a quarter of them zero, and one
+`search` line per call of the public search API on them: `phi` of the
+odd-numbered nodes, `sweep_cut` on the Fiedler order (positive-weight nodes
+first), and at each threshold in THRESHOLDS `is_expander`,
+`max_partitionable` and `find_partition` at k = 1..n, in the given mode.  A
+call that raises is written as its exception's class and message.
+
+Every float is written as `float.hex`, so two dumps are equal exactly when
+every report is equal bit for bit, signed zeros included.  Run it from the
+root of a checkout (the package is imported from ./src) on two revisions and
+`diff` the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
@@ -29,11 +43,23 @@ from nodal_expansion.certificate import (  # noqa: E402
     verify_corollary1,
     verify_theorem1,
 )
+from nodal_expansion.expansion import (  # noqa: E402
+    find_partition,
+    is_expander,
+    max_partitionable,
+    phi,
+    sweep_cut,
+)
 from nodal_expansion.generators import enumerate_connected_graphs  # noqa: E402
+from nodal_expansion.graph import laplacian  # noqa: E402
+
+THRESHOLDS = (0.6, 1.5)
 
 
 def hexed(obj):
     """`obj` with every float replaced by its `float.hex` string."""
+    if dataclasses.is_dataclass(obj):
+        return hexed(dataclasses.asdict(obj))
     if isinstance(obj, float):
         return obj.hex()
     if isinstance(obj, dict):
@@ -43,12 +69,35 @@ def hexed(obj):
     return obj
 
 
+def outcome(call):
+    """The hexed result of `call()`, or its exception's class and message."""
+    try:
+        return hexed(call())
+    except ValueError as e:
+        return [type(e).__name__, str(e)]
+
+
+def search_lines(g, w, mode):
+    """(name, arguments, outcome) of each public search call on (g, w)."""
+    f = np.linalg.eigh(laplacian(g))[1][:, 1]
+    order = sorted(range(g.n), key=lambda i: (w[i] <= 0, float(f[i]), i))
+    S = list(range(1, g.n, 2))
+    yield "phi", S, outcome(lambda: phi(g, w, S))
+    yield "sweep_cut", order, outcome(lambda: sweep_cut(g, w, order))
+    for c in THRESHOLDS:
+        yield "is_expander", c, outcome(lambda: is_expander(g, w, c, mode))
+        yield "max_partitionable", c, outcome(lambda: max_partitionable(g, w, c, mode))
+        for k in range(1, g.n + 1):
+            yield "find_partition", [k, c], outcome(lambda: find_partition(g, w, k, c, mode))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=6)
     ap.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     args = ap.parse_args()
     out = sys.stdout
+    rng = np.random.default_rng(0)
     for n in range(2, args.max_n + 1):
         for g in enumerate_connected_graphs(n):
             for k in range(1, n):
@@ -61,6 +110,9 @@ def main() -> None:
             if n >= 3:
                 report = verify_corollary1(g)
                 out.write(json.dumps(["corollary", hexed(report.as_dict())]) + "\n")
+            w = rng.random(n) * (rng.random(n) >= 0.25)
+            for line in search_lines(g, w, args.mode):
+                out.write(json.dumps(["search", *hexed(line)]) + "\n")
 
 
 if __name__ == "__main__":
