@@ -44,21 +44,21 @@ print("positive support:", supp.positive, " negative:", supp.negative)
 
 # One class per side here; the machinery accepts any class lists that
 # exactly cover the supports.
-p = build_proof_objects(g, k, [list(supp.positive)], [list(supp.negative)], decomposition=d)
+p = build_proof_objects(g, k, [list(supp.positive)], [list(supp.negative)])
 print("\nsplit norms z:", np.round(p.z, 4))
 print("B matrix:\n", np.round(p.B, 4))
 
-for rec in (check_B_sign_pattern(p), check_Bz_zero(p), check_interlacing(p, d)):
+for rec in (check_B_sign_pattern(p), check_Bz_zero(p), check_interlacing(p)):
     print(f"{rec.name}: passed={rec.passed} slack={rec.slack:.2e}")
 
 build_C(p)
-phis = class_expansions(g, p.w, p)
+phis = class_expansions(p)
 print("\nC matrix:\n", np.round(p.C, 4))
 print("class expansions:", phis)
 for rec in (
-    check_C_diagonal(p, phis),
+    check_C_diagonal(p),
     check_CminusB_psd(p),
-    check_lambda_max_C(p, phis),
+    check_lambda_max_C(p),
 ):
     print(f"{rec.name}: passed={rec.passed} slack={rec.slack:.2e}")
 

@@ -20,15 +20,18 @@ explicit tolerance and slack:
     positive semidefinite, so mu_max <= lambda_max(C);
   * lambda_max(C) < 2c whenever every class expansion is below c.
 
-Each call takes one eigen-split (`EigenSplit`) from its decomposition: the
-selected pair, w, c, the tolerance, the sign support, and each side's
-induced subgraph with its weights, built once on first use.  Each class's
-cut in its side's subgraph is summed once and kept in `ProofObjects.cuts`:
-`verify_theorem1` takes the cuts its search's certificates carry, and
-`build_proof_objects` evaluates the caller's classes with `phi`.
-`class_expansions` and `check_C_diagonal` read those cuts.
+The proof is a function of (g, k) and the two partitions alone.  Each call
+decomposes laplacian(g) once and takes one eigen-split (`EigenSplit`) from
+it: the selected pair, w, c, the tolerance, the sign support, and each
+side's induced subgraph with its weights, built once on first use.  Each
+class's cut in its side's subgraph is summed once and kept in
+`ProofObjects.cuts`: `verify_theorem1` takes the cuts its search's
+certificates carry, and `build_proof_objects` evaluates the caller's
+classes with `phi`.
 
 `build_proof_objects` builds C with B when there are two or more classes.
+Every check takes the proof objects alone: the spectrum is `p.spectrum`,
+and each class's expansion and cut come from `p.cuts` (`class_expansions`).
 `run_checks` runs the checks: B's sign pattern, B z = 0 and interlacing;
 with a + b >= 2, C's diagonal and C - B PSD; lambda_max(C) < 2c if k < n
 and every class expansion is below c; prop-sum if a + b = k + 1.
@@ -112,9 +115,9 @@ class ProofObjects:
     # each class's cut in its side's support subgraph, bit for bit what
     # `phi` gives there; None for a class that covers its whole side
     cuts: tuple[xp.CutValue | None, ...]
+    tolerance: float
+    spectrum: SpectralDecomposition
     C: np.ndarray | None = None  # None with fewer than two classes
-    tolerance: float = 0.0
-    spectrum: SpectralDecomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -211,21 +214,16 @@ def build_proof_objects(
     k: int,
     pos_classes: Sequence[Sequence[int]],
     neg_classes: Sequence[Sequence[int]],
-    decomposition: SpectralDecomposition | None = None,
 ) -> ProofObjects:
     """Assemble M, the split vectors, their norms z, and the matrices B and
     C for the given partitions of the two supports of the k-th eigenvector.
 
-    `decomposition`, when given, must be the eigendecomposition of
-    laplacian(g), full or with index k; its matrix serves as L, so neither
-    is built twice.  Without it, L is decomposed in the low-end form: the
-    checks read lambda_1..lambda_K, K = max(a + b, k + 1), and y_k only."""
+    L = laplacian(g) is decomposed in the low-end form: the checks read
+    lambda_1..lambda_K, K = max(a + b, k + 1), and y_k only."""
     if not 1 <= k <= g.n:
         raise CertificateError(f"k={k} outside [1,{g.n}]")
-    d = decomposition
-    if d is None:
-        K = max(len(pos_classes) + len(neg_classes), k + 1)
-        d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
+    K = max(len(pos_classes) + len(neg_classes), k + 1)
+    d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
     s = EigenSplit(g, d, k)
     sides = [_validate_classes(s, j, cls) for j, cls in enumerate((pos_classes, neg_classes))]
     cuts: list[xp.CutValue | None] = []
@@ -319,14 +317,12 @@ def check_Bz_zero(p: ProofObjects) -> CheckRecord:
     return CheckRecord("Bz_zero", slack >= -tol, slack, tol)
 
 
-def check_interlacing(
-    p: ProofObjects, spectrum: SpectralDecomposition
-) -> CheckRecord:
+def check_interlacing(p: ProofObjects) -> CheckRecord:
     """lambda_i - lambda_k <= mu_i for i = 1..a+b (interlacing for the
     principal submatrix B of M in the split-vector basis)."""
     tol = p.tolerance
     m = p.a + p.b
-    lam = np.asarray(spectrum.values[:m], dtype=float)
+    lam = np.asarray(p.spectrum.values[:m], dtype=float)
     margins = p.mu[:m] - (lam - p.lambda_k)
     slack = float(np.min(margins))
     return CheckRecord("interlacing", slack >= -tol, slack, tol)
@@ -353,24 +349,17 @@ def build_C(p: ProofObjects) -> np.ndarray:
     return C
 
 
-def class_expansions(
-    g: Graph, w: np.ndarray, p: ProofObjects
-) -> list[float | None]:
+def class_expansions(p: ProofObjects) -> list[float | None]:
     """Per-class expansion computed inside each class's own support subgraph.
     None marks a class covering its entire side (expansion undefined).
 
     A side's support is the union of its classes, which
     `build_proof_objects` has checked to cover it exactly.  The values come
-    from `p.cuts`, taken on p's support subgraphs, so g and w must be p's
-    graph and weights."""
-    if g != p.graph or w is not p.w and not np.array_equal(w, p.w):
-        raise CertificateError("class_expansions needs p's own graph and weights")
+    from `p.cuts`, taken on p's support subgraphs."""
     return [None if cut is None else cut.phi for cut in p.cuts]
 
 
-def check_C_diagonal(
-    p: ProofObjects, phis: Sequence[float | None]
-) -> CheckRecord:
+def check_C_diagonal(p: ProofObjects) -> CheckRecord:
     """Two facts about C's diagonal: the exact cut identity
     C_ii z_i^2 = sum of sqrt(w_u w_v) over same-side edges leaving class i,
     and the bound C_ii <= phi_i (the class's expansion in its support
@@ -378,6 +367,7 @@ def check_C_diagonal(
     if p.C is None:
         raise CertificateError("C needs at least two classes")
     tol = p.tolerance
+    phis = class_expansions(p)
     flags: list[str] = []
     margins = [np.inf]
     # the same-side edges leaving a class are the edges its cut in the
@@ -421,7 +411,7 @@ def check_CminusB_psd(p: ProofObjects) -> CheckRecord:
     return CheckRecord("CminusB_psd", slack >= -tol, slack, tol)
 
 
-def check_lambda_max_C(p: ProofObjects, phis: Sequence[float | None]) -> CheckRecord:
+def check_lambda_max_C(p: ProofObjects) -> CheckRecord:
     """lambda_max(C) < 2c, valid when every class expansion is below c; when
     a+b = k+1 also verify the chain
     lambda_{k+1} - lambda_k <= mu_{a+b} <= lambda_max(C)."""
@@ -429,7 +419,7 @@ def check_lambda_max_C(p: ProofObjects, phis: Sequence[float | None]) -> CheckRe
         raise CertificateError("C needs at least two classes")
     if p.c is None:
         raise CertificateError("no upper eigenvalue: k = n has no gap")
-    for i, v in enumerate(phis):
+    for i, v in enumerate(class_expansions(p)):
         if v is not None and not v < p.c:
             raise CertificateError(
                 f"class {i} has expansion {v} >= c={p.c}; precondition violated"
@@ -452,16 +442,15 @@ def run_checks(p: ProofObjects) -> list[CheckRecord]:
     checks = [
         check_B_sign_pattern(p),
         check_Bz_zero(p),
-        check_interlacing(p, p.spectrum),
+        check_interlacing(p),
     ]
     if p.a + p.b >= 2:
-        phis = class_expansions(p.graph, p.w, p)
-        checks.append(check_C_diagonal(p, phis))
+        checks.append(check_C_diagonal(p))
         checks.append(check_CminusB_psd(p))
-        if p.c is not None and all(v is None or v < p.c for v in phis):
-            checks.append(check_lambda_max_C(p, phis))
+        if p.c is not None and all(v is None or v < p.c for v in class_expansions(p)):
+            checks.append(check_lambda_max_C(p))
         if p.a + p.b == p.k + 1:
-            checks.append(_prop_sum_check(p, phis))
+            checks.append(_prop_sum_check(p))
     return checks
 
 
@@ -469,7 +458,6 @@ def verify_theorem1(
     g: Graph,
     k: int,
     mode: str = "exact",
-    budget: int = xp.DEFAULT_BUDGET,
 ) -> TheoremReport:
     """Verify the main theorem for (g, k): find the largest certified class
     counts a, b of the two support subgraphs at threshold c and test
@@ -481,6 +469,8 @@ def verify_theorem1(
         raise CertificateError("empty graph")
     if not 1 <= k <= g.n - 1:
         raise CertificateError(f"k={k} outside [1,{g.n - 1}]")
+    if mode not in xp.MODES:  # checked here too: a degenerate gap runs no search
+        raise xp.ExpansionError(f"unknown mode {mode!r}")
     s = EigenSplit(g, eigendecompose(laplacian(g), k), k)
     degenerate = s.c <= s.tolerance
     # the theorem's partition counts use the strict inequality phi < c; a
@@ -492,9 +482,7 @@ def verify_theorem1(
             sides.append((1, (nodes,)) if nodes else (0, ()))
             continue
         sub, w_sub = s.side(j)
-        k_side, cert = xp.max_partitionable(
-            sub.graph, w_sub, c_search, mode=mode, budget=budget
-        )
+        k_side, cert = xp.max_partitionable(sub.graph, w_sub, c_search, mode=mode)
         classes = () if cert is None else cert.classes
         sides.append((k_side, tuple(sub.to_parent_set(cls) for cls in classes)))
         # the certificate's cuts, taken on this subgraph; a lone class has none
@@ -601,13 +589,13 @@ def verify_prop_sum(
     if a + b != k + 1:
         raise CertificateError(f"a+b={a + b} must equal k+1={k + 1}")
     p = build_proof_objects(g, k, pos_classes, neg_classes)
-    return _prop_sum_check(p, class_expansions(g, p.w, p))
+    return _prop_sum_check(p)
 
 
-def _prop_sum_check(p: ProofObjects, phis: list[float | None]) -> CheckRecord:
-    """The `verify_prop_sum` check on built proof objects with a+b = k+1
-    and `phis` from `class_expansions`."""
+def _prop_sum_check(p: ProofObjects) -> CheckRecord:
+    """The `verify_prop_sum` check on built proof objects with a+b = k+1."""
     tol = p.tolerance
+    phis = class_expansions(p)
     flags = tuple(
         f"class_{i}_covers_whole_side" for i, v in enumerate(phis) if v is None
     )

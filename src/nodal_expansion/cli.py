@@ -72,7 +72,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = fileio.read_edge_list(args.file)
-    report = ct.verify_theorem1(g, args.k, mode=args.mode, budget=args.budget)
+    report = ct.verify_theorem1(g, args.k, mode=args.mode)
     emit_json(report.as_dict())
     return EXIT_OK if report.theorem_holds else EXIT_CHECK_FAILED
 
@@ -96,7 +96,7 @@ def cmd_expander_check(args) -> int:
 def cmd_partition(args) -> int:
     g = fileio.read_edge_list(args.file)
     w = _load_weights(args, g)
-    cert = xp.find_partition(g, w, args.k, args.c, mode=args.mode, budget=args.budget)
+    cert = xp.find_partition(g, w, args.k, args.c, mode=args.mode)
     if cert is None:
         emit_json({"found": False, "k": args.k, "c": args.c, "mode": args.mode})
     else:
@@ -241,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_mode(p, budget=True):
-        p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-        if budget:  # the greedy moves' budget; an expander check makes none
-            p.add_argument("--budget", type=int, default=xp.DEFAULT_BUDGET)
-
     p = sub.add_parser("spectrum", help="print Laplacian eigenvalues as CSV")
     p.add_argument("file")
     p.set_defaults(func=cmd_spectrum)
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="verify the main theorem for (graph, k)")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    add_mode(p)
+    p.add_argument("--mode", choices=xp.MODES, default="exact")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("expander-check", help="c-expander verdict under weights")
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--eigvec", type=int, help="use squared k-th eigenvector")
     grp.add_argument("--weights", help="weights file")
-    add_mode(p, budget=False)
+    p.add_argument("--mode", choices=xp.MODES, default="exact")
     p.set_defaults(func=cmd_expander_check)
 
     p = sub.add_parser("partition", help="search a (k,c)-partition")
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--eigvec", type=int)
     grp.add_argument("--weights")
-    add_mode(p)
+    p.add_argument("--mode", choices=xp.MODES, default="exact")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("verify-proof", help="run all proof-step checks")

@@ -71,7 +71,9 @@ from .spectral import _gamma
 
 EXACT_BIPARTITION_CAP = 20
 EXACT_SET_PARTITION_CAP = 12
-DEFAULT_BUDGET = 1000
+# the heuristic's greedy moves stop after this many moves per partition
+GREEDY_MOVE_CAP = 1000
+MODES = ("exact", "heuristic")
 
 # an absolute term for the divisions, whose results may fall into gradual
 # underflow
@@ -151,7 +153,7 @@ class _Input:
         """The record of a caller's (g, w).  A search also names its
         threshold c and its mode, which are checked too, the mode first, so
         that no input returns early with an unknown one."""
-        if mode is not None and mode not in ("exact", "heuristic"):
+        if mode is not None and mode not in MODES:
             raise ExpansionError(f"unknown mode {mode!r}")
         if c is not None and not 0 < c < np.inf:  # NaN fails too
             raise ExpansionError(f"threshold c must be positive and finite, got {c}")
@@ -625,7 +627,6 @@ def find_partition(
     k: int,
     c: float,
     mode: str = "exact",
-    budget: int = DEFAULT_BUDGET,
 ) -> PartitionCertificate | None:
     """Search for a partition into k positive-weight classes, each phi < c.
 
@@ -649,7 +650,7 @@ def find_partition(
     classes = next(itertools.islice(_split_chain(x), k - 1, None), None)
     if classes is None:
         return None
-    return _heuristic_partition(x, classes, c, budget)
+    return _heuristic_partition(x, classes, c)
 
 
 def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
@@ -682,16 +683,17 @@ def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
 
 
 def _heuristic_partition(
-    x: _Input, classes: list[list[int]], c: float, budget: int
+    x: _Input, classes: list[list[int]], c: float
 ) -> PartitionCertificate | None:
     """Greedy single-node moves from the classes of a split chain, with the
-    zero-weight nodes attached, until every class has phi < c or the budget
-    of moves runs out.  A move changes two classes, whose kernel cuts it has
-    computed, so the classes are certified by direct evaluation once, first."""
+    zero-weight nodes attached, until every class has phi < c or
+    GREEDY_MOVE_CAP moves have been made.  A move changes two classes, whose
+    kernel cuts it has computed, so the classes are certified by direct
+    evaluation once, first."""
     full = _attach_zero_weight_nodes(x, classes)
     cert = _certify(x, full, c)
     steps = 0
-    while not cert.valid and steps < budget:
+    while not cert.valid and steps < GREEDY_MOVE_CAP:
         steps += 1
         cuts = _greedy_move(x, full, cert.cuts)
         if cuts is None:
@@ -826,7 +828,6 @@ def max_partitionable(
     w: np.ndarray,
     c: float,
     mode: str = "exact",
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, PartitionCertificate | None]:
     """Largest k with a valid (k,c)-partition under the given mode.
 
@@ -851,7 +852,7 @@ def max_partitionable(
     best_k = 1
     # the chain's first entry, the unsplit support, is k = 1
     for k, classes in enumerate(itertools.islice(_split_chain(x), 1, None), start=2):
-        cert = _heuristic_partition(x, classes, c, budget)
+        cert = _heuristic_partition(x, classes, c)
         if cert is None:
             break
         best_k, best_cert = k, cert

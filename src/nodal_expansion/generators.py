@@ -14,6 +14,9 @@ import numpy as np
 
 from .graph import Graph, build_graph, is_connected
 
+# the pairing model gives up after this many rejected attempts
+REGULAR_MAX_RETRIES = 1000
+
 
 class GenerationError(ValueError):
     pass
@@ -53,13 +56,12 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-def gen_random_regular(
-    n: int, d: int, seed: int, max_retries: int = 1000
-) -> Graph:
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Simple d-regular graph via the pairing (configuration) model.
 
     Stubs are shuffled and paired; any attempt producing a self-loop or a
-    parallel edge is rejected wholesale and retried, up to max_retries.
+    parallel edge is rejected wholesale and retried, up to
+    REGULAR_MAX_RETRIES attempts.
     """
     if n * d % 2 != 0:
         raise GenerationError(f"n*d = {n}*{d} must be even")
@@ -67,7 +69,7 @@ def gen_random_regular(
         raise GenerationError(f"degree {d} must satisfy 0 <= d < n={n}")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_retries):
+    for _ in range(REGULAR_MAX_RETRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         edges: set[tuple[int, int]] = set()
@@ -87,7 +89,7 @@ def gen_random_regular(
             return build_graph(n, sorted(edges))
     raise GenerationError(
         f"pairing model failed to produce a simple {d}-regular graph "
-        f"on {n} nodes within {max_retries} retries"
+        f"on {n} nodes within {REGULAR_MAX_RETRIES} retries"
     )
 
 

@@ -378,11 +378,11 @@ def _lanczos(
     return None
 
 
-def canonical_sign(y: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """Flip y so its first coordinate with |y_i| > tau is positive."""
+def canonical_sign(y: np.ndarray) -> np.ndarray:
+    """Flip y so its first coordinate outside the zero band
+    (|y_i| > default_zero_tau(y)) is positive."""
     y = np.asarray(y, dtype=float)
-    if tau is None:
-        tau = default_zero_tau(y)
+    tau = default_zero_tau(y)
     for yi in y:
         if abs(yi) > tau:
             return -y if yi < 0 else y
@@ -402,16 +402,14 @@ def is_repeated(values: np.ndarray, k: int) -> bool:
     return gap < MULTIPLICITY_RTOL * (1.0 + abs(lam))
 
 
-def select_eigenpair(
-    d: SpectralDecomposition, k: int, tau: float | None = None
-) -> EigenpairSelection:
+def select_eigenpair(d: SpectralDecomposition, k: int) -> EigenpairSelection:
     """Pick the k-th (1-based, ascending) eigenpair with canonical sign.
 
     multiplicity_flag is set when lambda_k is repeated (`is_repeated`).
     """
     if not 1 <= k <= d.n:
         raise IndexError(f"eigenpair index {k} outside [1,{d.n}]")
-    y = canonical_sign(d.vector(k), tau)
+    y = canonical_sign(d.vector(k))
     return EigenpairSelection(
         k=k, lambda_k=d.value(k), y=y, multiplicity_flag=is_repeated(d.values, k)
     )

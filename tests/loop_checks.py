@@ -111,5 +111,5 @@ def assert_matches(p, phis) -> None:
     if p.C is None:
         return
     assert p.C.tobytes() == build_C(p).tobytes()
-    assert bits(ct.check_C_diagonal(p, phis).slack) == bits(C_diagonal_slack(p, phis))
+    assert bits(ct.check_C_diagonal(p).slack) == bits(C_diagonal_slack(p, phis))
     assert bits(ct.check_CminusB_psd(p).slack) == bits(CminusB_slack(p))

@@ -161,10 +161,10 @@ def _make_instances(count=1000, seed=20240817):
                     [list(sub.to_parent_set(cls)) for cls in cert.classes]
                 )
             pos, neg = sides
-        p = ct.build_proof_objects(g, k, pos, neg, decomposition=d)
+        p = ct.build_proof_objects(g, k, pos, neg)
         if p.a + p.b >= 2:
             ct.build_C(p)
-        phis = ct.class_expansions(g, p.w, p)
+        phis = ct.class_expansions(p)
         instances.append((g, k, d, p, phis))
     return instances
 
@@ -414,8 +414,8 @@ def test_criterion8_cli_goldens(tmp_path, capsys, monkeypatch):
 
     real = cli.ct.verify_theorem1
 
-    def failing(g, k, mode="exact", budget=1000):
-        r = real(g, k, mode=mode, budget=budget)
+    def failing(g, k, mode="exact"):
+        r = real(g, k, mode=mode)
         r.a_plus_b_le_k = False
         r.degenerate_gap_flag = False
         return r

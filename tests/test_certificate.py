@@ -101,40 +101,38 @@ def _whole_side_classes(g, k):
 class TestChecks:
     def test_k2_all_steps(self):
         p = ct.build_proof_objects(k2(), 2, [[0]], [[1]])
-        d = eigendecompose(laplacian(k2()))
         assert ct.check_B_sign_pattern(p).passed
         assert ct.check_Bz_zero(p).passed
-        rec = ct.check_interlacing(p, d)
+        rec = ct.check_interlacing(p)
         assert rec.passed and abs(rec.slack) <= 1e-12  # exact equality here
         C = ct.build_C(p)
         assert np.allclose(C, 0, atol=1e-12)  # no same-side partners
-        phis = ct.class_expansions(k2(), p.w, p)
+        phis = ct.class_expansions(p)
         assert phis == [None, None]
-        assert ct.check_C_diagonal(p, phis).passed
+        assert ct.check_C_diagonal(p).passed
         rec = ct.check_CminusB_psd(p)
         assert rec.passed
         assert np.allclose(p.C - p.B, [[1, -1], [-1, 1]], atol=1e-12)
         p.c = 1.0  # k = n leaves no gap; any positive threshold works here
-        assert ct.check_lambda_max_C(p, phis).passed
+        assert ct.check_lambda_max_C(p).passed
 
     def test_p4_all_steps(self):
         g = p4()
-        d = eigendecompose(laplacian(g))
-        p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]], decomposition=d)
+        p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
         assert ct.check_B_sign_pattern(p).passed
         rec = ct.check_Bz_zero(p)
         assert rec.passed and abs(rec.slack) <= 1e-9
-        assert ct.check_interlacing(p, d).passed
+        assert ct.check_interlacing(p).passed
         ct.build_C(p)
         assert p.C[0, 0] >= -1e-12
         assert np.max(np.abs(p.C @ p.z)) <= 1e-9
-        phis = ct.class_expansions(g, p.w, p)
+        phis = ct.class_expansions(p)
         # hand values: both positive-side classes see the single support edge
         assert abs(phis[0] - (1 + np.sqrt(2))) < 1e-9
         assert abs(phis[1] - (1 + np.sqrt(2))) < 1e-9
         assert phis[2] is None
         assert abs(p.C[0, 0] - (np.sqrt(2) - 1)) < 1e-9
-        assert ct.check_C_diagonal(p, phis).passed
+        assert ct.check_C_diagonal(p).passed
         assert ct.check_CminusB_psd(p).passed
 
     def test_lambda_max_C_precondition(self):
@@ -146,7 +144,7 @@ class TestChecks:
             p2 = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
             p2.c = 1e-6
             ct.build_C(p2)
-            ct.check_lambda_max_C(p2, ct.class_expansions(g, p2.w, p2))
+            ct.check_lambda_max_C(p2)
 
 
 class TestVerifyTheorem1:
@@ -335,19 +333,34 @@ def test_theorem_search_enters_the_public_api_once_per_side(monkeypatch):
     assert len(builds) == calls["max_partitionable"]
 
 
-def test_class_expansions_needs_the_objects_graph():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
-    assert ct.class_expansions(build_graph(4, g.edges), p.w.copy(), p)[2] is None
-    with pytest.raises(ct.CertificateError):
-        ct.class_expansions(build_graph(4, [(0, 1), (1, 2)]), p.w, p)
-    with pytest.raises(ct.CertificateError):
-        ct.class_expansions(g, 2 * p.w, p)
-
-
 def test_corollary_takes_no_budget():
     with pytest.raises(TypeError):
         ct.verify_corollary1(barbell(), 10)
+
+
+def test_theorem_takes_no_budget():
+    with pytest.raises(TypeError):
+        ct.verify_theorem1(p4(), 2, mode="heuristic", budget=10)
+
+
+def test_proof_objects_take_no_decomposition():
+    # the proof objects decompose their own graph's Laplacian; a second
+    # spectrum could disagree with it
+    g = build_graph(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(TypeError):
+        ct.build_proof_objects(
+            g, 2, [[0, 1, 2]], [[3, 4, 5]], decomposition=eigendecompose(3 * laplacian(g))
+        )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_theorem_rejects_unknown_mode_without_a_search(k):
+    # two components, spectrum (0, 0, 2, 2): the gap is degenerate at k = 1,
+    # where the negative support is empty too, and at k = 3, so neither
+    # runs a search that would check the mode
+    g = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(xp.ExpansionError, match="unknown mode 'bogus'"):
+        ct.verify_theorem1(g, k, mode="bogus")
 
 
 def test_checks_match_loop_forms_on_small_graphs():
@@ -360,11 +373,8 @@ def test_checks_match_loop_forms_on_small_graphs():
             r = ct.verify_theorem1(g, k)
             if r.degenerate_gap_flag or r.a + r.b == 0:
                 continue
-            p = ct.build_proof_objects(
-                g, k, r.pos_classes, r.neg_classes,
-                decomposition=eigendecompose(laplacian(g), k),
-            )
-            phis = ct.class_expansions(g, p.w, p)
+            p = ct.build_proof_objects(g, k, r.pos_classes, r.neg_classes)
+            phis = ct.class_expansions(p)
             loop_checks.assert_matches(p, phis)
             sides_seen.update(min(n, 2) for n in (p.a, p.b))
     assert sides_seen == {0, 1, 2}
@@ -377,4 +387,4 @@ def test_checks_match_loop_forms_on_proof_graphs(family, n):
     for k, (a, b) in ((2, (2, 1)), (3, (1, 3)), (4, (3, 3))):
         pos, neg = proof_partition(ys[k], a, b)
         p = ct.build_proof_objects(g, k, pos, neg)
-        loop_checks.assert_matches(p, ct.class_expansions(g, p.w, p))
+        loop_checks.assert_matches(p, ct.class_expansions(p))

@@ -75,16 +75,14 @@ def test_expander_check_eigvec(capsys, p3_file):
     assert json.loads(out)["mode"] == "exact"
 
 
-def test_budget_only_where_greedy_moves_use_it(capsys, p3_file):
-    # an expander check makes no greedy moves, so it takes no --budget
-    argv = ["expander-check", p3_file, "--eigvec", "2", "--c", "0.5", "--budget", "5"]
-    assert cli.run(argv) == 2
-    capsys.readouterr()
+def test_no_command_takes_a_budget(capsys, p3_file):
+    # the greedy moves' cap is a constant, so no command takes --budget
     for argv in (
+        ["expander-check", p3_file, "--eigvec", "2", "--c", "0.5", "--budget", "5"],
         ["analyze", p3_file, "--k", "2", "--mode", "heuristic", "--budget", "5"],
         ["partition", p3_file, "--k", "2", "--c", "9", "--eigvec", "2", "--budget", "5"],
     ):
-        assert cli.run(argv) == 0, argv
+        assert cli.run(argv) == 2, argv
         capsys.readouterr()
 
 
@@ -274,11 +272,11 @@ def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):
     p = ct.build_proof_objects(g, 1, [range(4)], [])
     assert p.C is None
     with pytest.raises(ct.CertificateError):
-        ct.check_C_diagonal(p, [None])
+        ct.check_C_diagonal(p)
     with pytest.raises(ct.CertificateError):
         ct.check_CminusB_psd(p)
     with pytest.raises(ct.CertificateError):
-        ct.check_lambda_max_C(p, [None])
+        ct.check_lambda_max_C(p)
     with pytest.raises(ct.CertificateError):
         ct.build_C(p)
 
@@ -358,8 +356,8 @@ def test_exit_code_check_failure(capsys, p4_file, monkeypatch):
     # force a failing report to exercise the exit-code contract
     real = cli.ct.verify_theorem1
 
-    def fake(g, k, mode="exact", budget=1000):
-        report = real(g, k, mode=mode, budget=budget)
+    def fake(g, k, mode="exact"):
+        report = real(g, k, mode=mode)
         report.a_plus_b_le_k = False
         report.degenerate_gap_flag = False
         return report

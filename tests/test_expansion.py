@@ -627,8 +627,8 @@ class TestMaxPartitionable:
             splits.append(x.g.n)
             return fiedler(x)
 
-        def heuristic_spy(x, classes, c, budget):
-            cert = heuristic(x, classes, c, budget)
+        def heuristic_spy(x, classes, c):
+            cert = heuristic(x, classes, c)
             built.append((len(classes), cert))
             return cert
 
@@ -786,9 +786,7 @@ class TestCarriedCuts:
                 labels[:k] = np.arange(k)  # no class is empty
                 classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
                 moves_before = sum(moves)
-                cert = xp._heuristic_partition(
-                    xp._Input.checked(g, w), classes, c, xp.DEFAULT_BUDGET
-                )
+                cert = xp._heuristic_partition(xp._Input.checked(g, w), classes, c)
                 if cert is not None and sum(moves) > moves_before:
                     self.assert_carried(g, w, cert)
                     certs += 1

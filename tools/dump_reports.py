@@ -44,6 +44,7 @@ from nodal_expansion.certificate import (  # noqa: E402
     verify_theorem1,
 )
 from nodal_expansion.expansion import (  # noqa: E402
+    MODES,
     find_partition,
     is_expander,
     max_partitionable,
@@ -94,7 +95,7 @@ def search_lines(g, w, mode):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=6)
-    ap.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
+    ap.add_argument("--mode", choices=MODES, default="exact")
     args = ap.parse_args()
     out = sys.stdout
     rng = np.random.default_rng(0)
