@@ -21,10 +21,10 @@ explicit tolerance and slack:
   * lambda_max(C) < 2c whenever every class expansion is below c.
 
 The proof is a function of (g, k) and the two partitions alone.  Each call
-decomposes laplacian(g) once and takes one eigen-split (`EigenSplit`) from
-it: the selected pair, w, c, the tolerance, the sign support, and each
-side's induced subgraph with its weights, built once on first use.  Each
-class's cut in its side's subgraph is summed once and kept in
+takes one eigen-split (`EigenSplit`) of g, which decomposes laplacian(g)
+once and holds the selected pair, w, c, the tolerance, the sign support,
+and each side's induced subgraph with its weights, built on first use.
+Each class's cut in its side's subgraph is summed once and kept in
 `ProofObjects.cuts`: `verify_theorem1` takes the cuts its search's
 certificates carry, and `build_proof_objects` evaluates the caller's
 classes with `phi`.
@@ -47,10 +47,11 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian, sign_support
+from .graph import Graph, InducedSubgraph, induced_subgraph, sign_support
+from .graph import weights_from_eigenvector
 from .spectral import (
     SpectralDecomposition,
-    eigendecompose,
+    laplacian_decomposition,
     select_eigenpair,
     spectral_gap_c,
 )
@@ -68,16 +69,18 @@ def default_tolerance(L: np.ndarray) -> float:
 
 
 class EigenSplit:
-    """The split of graph g by the k-th eigenvector of d, a decomposition of
-    laplacian(g) that holds y_k: the selected `pair`, the weights w = y^2,
+    """The split of graph g by the k-th eigenvector of its own Laplacian,
+    decomposed once by `laplacian_decomposition(g, k, through=through)`:
+    the decomposition `spectrum`, the selected `pair`, the weights w = y^2,
     the half-gap c (None when k = n), the check `tolerance` and the sign
     `support`.  `side` builds each support's induced subgraph on first use
     and hands the same one to every later caller."""
 
-    def __init__(self, g: Graph, d: SpectralDecomposition, k: int):
+    def __init__(self, g: Graph, k: int, *, through: int | None = None):
+        d = laplacian_decomposition(g, k, through=through)
         self.graph, self.spectrum = g, d
         self.pair = select_eigenpair(d, k)
-        self.w = self.pair.y * self.pair.y
+        self.w = weights_from_eigenvector(self.pair.y)
         self.c = spectral_gap_c(d, k) if k < d.n else None
         self.tolerance = default_tolerance(d.matrix)
         self.support = sign_support(self.pair.y)
@@ -218,13 +221,11 @@ def build_proof_objects(
     """Assemble M, the split vectors, their norms z, and the matrices B and
     C for the given partitions of the two supports of the k-th eigenvector.
 
-    L = laplacian(g) is decomposed in the low-end form: the checks read
+    The split takes laplacian(g) in the low-end form: the checks read
     lambda_1..lambda_K, K = max(a + b, k + 1), and y_k only."""
     if not 1 <= k <= g.n:
         raise CertificateError(f"k={k} outside [1,{g.n}]")
-    K = max(len(pos_classes) + len(neg_classes), k + 1)
-    d = eigendecompose(laplacian(g), k, through=K, edges=g.edge_arrays())
-    s = EigenSplit(g, d, k)
+    s = EigenSplit(g, k, through=max(len(pos_classes) + len(neg_classes), k + 1))
     sides = [_validate_classes(s, j, cls) for j, cls in enumerate((pos_classes, neg_classes))]
     cuts: list[xp.CutValue | None] = []
     for j, side in enumerate(sides):
@@ -471,7 +472,7 @@ def verify_theorem1(
         raise CertificateError(f"k={k} outside [1,{g.n - 1}]")
     if mode not in xp.MODES:  # checked here too: a degenerate gap runs no search
         raise xp.ExpansionError(f"unknown mode {mode!r}")
-    s = EigenSplit(g, eigendecompose(laplacian(g), k), k)
+    s = EigenSplit(g, k)
     degenerate = s.c <= s.tolerance
     # the theorem's partition counts use the strict inequality phi < c; a
     # tolerance margin keeps float noise at phi == c from inflating a or b
@@ -541,7 +542,7 @@ def verify_corollary1(g: Graph) -> CorollaryReport:
     (lambda_3 - lambda_2)/2-expanders with respect to the squared entries."""
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
-    s = EigenSplit(g, eigendecompose(laplacian(g), 2), 2)
+    s = EigenSplit(g, 2)
     flags = ["degenerate_gap"] if s.c <= s.tolerance else []
     # strict threshold minus tolerance: phi == c must not read as a violation
     c_test = s.c - s.tolerance

@@ -567,27 +567,35 @@ def _exact_partition(
 
 def _attach_zero_weight_nodes(x: _Input, classes: list[list[int]]) -> list[list[int]]:
     """Assign zero-weight nodes to the class of their lowest-index assigned
-    neighbor (iterated); stragglers join the first class."""
-    g = x.g
-    assign = {}
+    neighbor, in passes over the pending nodes in ascending order, each
+    seeing what the pass assigned before it, until a pass assigns none;
+    stragglers join the first class."""
+    assign = [-1] * x.g.n
     for ci, cls in enumerate(classes):
         for i in cls:
             assign[i] = ci
-    pending = [i for i in range(g.n) if i not in assign]
-    changed = True
-    while pending and changed:
-        changed = False
-        for i in list(pending):
-            nbrs = [j for j in g.neighbors(i) if j in assign]
+    pending = [i for i, ci in enumerate(assign) if ci < 0]
+    if pending:  # zero-weight nodes only; a sign support has none
+        adj: list[list[int]] = [[] for _ in assign]
+        for u, v in zip(x.us.tolist(), x.vs.tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+    while pending:
+        left = []
+        for i in pending:
+            nbrs = [j for j in adj[i] if assign[j] >= 0]
             if nbrs:
                 assign[i] = assign[min(nbrs)]
-                pending.remove(i)
-                changed = True
+            else:
+                left.append(i)
+        if len(left) == len(pending):
+            break
+        pending = left
     for i in pending:
         assign[i] = 0
     out: list[list[int]] = [[] for _ in classes]
-    for i in sorted(assign):
-        out[assign[i]].append(i)
+    for i, ci in enumerate(assign):
+        out[ci].append(i)
     return out
 
 

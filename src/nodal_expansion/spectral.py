@@ -11,15 +11,16 @@ accumulation and the residual product over all n pairs.  A repeated
 lambda_k has no unique eigenvector, and callers see the basis eigh picks,
 so a repeated lambda_k gets the full decomposition.
 
-The low-end form, for a graph Laplacian of order LOW_END_MIN_ORDER or more
-given with its edge list, returns only lambda_1..lambda_K and y_k.  Lanczos
-with full reorthogonalization (Parlett, ch. 13) runs on the edge list at
-O(m) per step plus the reorthogonalization.  Its Ritz values count only
-once they are certified: residual intervals that are disjoint, and one
-floating-point Cholesky factorization that proves no eigenvalue below them
-was missed (Rump, "Verification of positive definiteness", BIT 46, 2006).
-Anything uncertified falls back to the dense solves.  Memory is dense on
-every path: O(n^2) for the matrix and its factors.
+`laplacian_decomposition` decomposes a graph's Laplacian, which it builds
+itself.  For a graph of order LOW_END_MIN_ORDER or more it can take the
+low-end form, which returns only lambda_1..lambda_K and y_k.  Lanczos with
+full reorthogonalization (Parlett, ch. 13) runs on the graph's own edge
+arrays at O(m) per step plus the reorthogonalization.  Its Ritz values
+count only once they are certified: residual intervals that are disjoint,
+and one floating-point Cholesky factorization that proves no eigenvalue
+below them was missed (Rump, "Verification of positive definiteness",
+BIT 46, 2006).  Anything uncertified falls back to the dense solves.
+Memory is dense on every path: O(n^2) for the matrix and its factors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import default_zero_tau
+from .graph import Graph, default_zero_tau, laplacian
 
 SYMMETRY_RTOL = 1e-12
 # lambda_k is repeated when a neighbour lies within
@@ -63,8 +64,8 @@ class NotSymmetricError(ValueError):
 class SpectralDecomposition:
     """Ascending eigenvalues, orthonormal eigenvectors (columns), the worst
     residual ||A v - lambda v||_2 over the pairs computed, and the matrix A
-    itself (not copied), so that a caller handed the decomposition of a
-    Laplacian need not build the Laplacian again.
+    itself (not copied), which the proof objects read to form
+    L - lambda_k I and the check tolerance.
 
     `n` is the order of A.  `values` holds all n eigenvalues, except from
     the low-end form, where it holds lambda_1..lambda_K only and `radii`
@@ -113,13 +114,7 @@ class EigenpairSelection:
     multiplicity_flag: bool
 
 
-def eigendecompose(
-    A: np.ndarray,
-    k: int | None = None,
-    *,
-    through: int | None = None,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SpectralDecomposition:
+def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix: every eigenpair, or with a
     1-based index k every eigenvalue and the eigenvector y_k alone.
 
@@ -127,13 +122,6 @@ def eigendecompose(
     lambda_k (see `is_repeated`), one whose inverse iteration misses its
     residual bound, and a matrix of order below INDEX_MIN_ORDER get the
     full decomposition, the same bits as eigendecompose(A).
-
-    The low-end form: with k < through < n, n >= LOW_END_MIN_ORDER and
-    `edges`, the endpoint arrays (us, vs) of the graph whose Laplacian A
-    is, it returns lambda_1..lambda_through and y_k from certified Lanczos
-    pairs (`_low_end`).  When the Ritz values show lambda_k repeated, the
-    full decomposition follows at once; any other result that cannot be
-    certified falls back to the forms above, with the same bits.
 
     Raises NotSymmetricError if A deviates from its transpose by more than
     SYMMETRY_RTOL relative to its largest entry.
@@ -148,20 +136,7 @@ def eigendecompose(
             raise NotSymmetricError("matrix is not symmetric within tolerance")
     if k is not None and not 1 <= k <= len(A):
         raise IndexError(f"eigenpair index {k} outside [1,{len(A)}]")
-    if through is not None and edges is None:
-        raise ValueError("the low-end form needs the graph's edge arrays")
-    repeated = False
-    if (
-        through is not None
-        and k is not None
-        and k < through < len(A)
-        and len(A) >= LOW_END_MIN_ORDER
-    ):
-        low = _low_end(A, edges, k, through, scale)
-        if isinstance(low, SpectralDecomposition):
-            return low
-        repeated = low
-    if k is not None and len(A) >= INDEX_MIN_ORDER and not repeated:
+    if k is not None and len(A) >= INDEX_MIN_ORDER:
         values = np.linalg.eigvalsh(A)
         if not is_repeated(values, k):
             pair = _inverse_iteration(A, float(values[k - 1]), scale)
@@ -178,6 +153,23 @@ def eigendecompose(
     return SpectralDecomposition(
         values=values, vectors=vectors, residual=resid, matrix=A
     )
+
+
+def laplacian_decomposition(
+    g: Graph, k: int | None = None, *, through: int | None = None
+) -> SpectralDecomposition:
+    """eigendecompose(laplacian(g), k), or its low-end form.
+
+    The low-end form: with k < through < n and n >= LOW_END_MIN_ORDER, it
+    returns lambda_1..lambda_through and y_k from certified Lanczos pairs
+    on g's edge arrays (`_low_end`).  When the Ritz values show lambda_k
+    repeated, the full decomposition follows at once; any other result that
+    cannot be certified falls back to eigendecompose(L, k), with the same
+    bits."""
+    L = laplacian(g)
+    room = k is not None and through is not None and 1 <= k < through < g.n
+    low = _low_end(g, L, k, through) if room and g.n >= LOW_END_MIN_ORDER else None
+    return eigendecompose(L, k) if low is None else low
 
 
 def _inverse_iteration(
@@ -228,16 +220,10 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _low_end(
-    L: np.ndarray,
-    edges: tuple[np.ndarray, np.ndarray],
-    k: int,
-    through: int,
-    scale: float,
-) -> SpectralDecomposition | bool:
-    """lambda_1..lambda_K (K = through) and y_k of the Laplacian L with
-    edge arrays `edges`, certified; True when the Ritz values show
-    lambda_k repeated, False when nothing is certified.
+def _low_end(g: Graph, L: np.ndarray, k: int, through: int) -> SpectralDecomposition | None:
+    """lambda_1..lambda_K (K = through) and y_k of L = laplacian(g),
+    certified; the full decomposition eigendecompose(L) when the Ritz
+    values show lambda_k repeated; None when nothing is certified.
 
     Lanczos gives K + 1 Ritz pairs (theta_i, v_i) with unit v_i.  From the
     computed residual rho_i and Higham's bounds on its rounding, r_i bounds
@@ -252,21 +238,21 @@ def _low_end(
     exactly one in each of the first K intervals.  y_k must also meet the
     inverse-iteration residual bound 2 n eps (1 + max|L|)."""
     n = len(L)
-    us, vs = edges
+    us, vs = g.edge_arrays()
     deg = np.diag(L)
-    bound = 2 * n * np.finfo(float).eps * scale
+    bound = 2 * n * np.finfo(float).eps * (1.0 + float(np.max(np.abs(L))))
     ritz = _lanczos(deg, us, vs, through + 1, k, bound)
     if ritz is None:
-        return False
+        return None
     theta, V = ritz
     if is_repeated(theta, k):
-        return True
+        return eigendecompose(L)
     V = V / np.linalg.norm(V, axis=0)
     nu = np.linalg.norm(V, axis=0)
     R = np.column_stack([_laplacian_matvec(deg, us, vs, v) for v in V.T]) - V * theta
     rho = np.linalg.norm(R, axis=0)
     if rho[k - 1] > bound:
-        return False
+        return None
     dmax = float(np.max(deg))
     # the matvec and the subtraction of theta v round at most dmax + 4 times
     # per entry, on terms summing to at most (2 dmax + |theta|) |v|; the
@@ -278,7 +264,7 @@ def _low_end(
     )
     lo, hi = theta - r, theta + r
     if np.any(hi[:-1] >= lo[1:]):
-        return False
+        return None
     K = through
     tau = (hi[K - 1] + lo[K]) / 2
     s = tau - theta[:K] + (lo[K] - tau)
@@ -299,7 +285,7 @@ def _low_end(
     try:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
-        return False
+        return None
     return SpectralDecomposition(
         values=theta[:K],
         vectors=V[:, k - 1 : k].copy(),

@@ -1,5 +1,6 @@
 """Loop forms of the proof checks, kept as the reference that the package's
-array forms must match bit for bit, signed zeros included.
+array forms must match bit for bit, signed zeros included, and the loop form
+of the search's zero-weight attachment.
 
 Each visits the class pairs (i, j) one at a time, in row-major order, and
 takes the smallest margin with `min`, which keeps the first of equal ones.
@@ -113,3 +114,29 @@ def assert_matches(p, phis) -> None:
     assert p.C.tobytes() == build_C(p).tobytes()
     assert bits(ct.check_C_diagonal(p).slack) == bits(C_diagonal_slack(p, phis))
     assert bits(ct.check_CminusB_psd(p).slack) == bits(CminusB_slack(p))
+
+
+def attach_zero_weight_nodes(g, classes: list[list[int]]) -> list[list[int]]:
+    """Each unassigned node joins the class of its lowest-index assigned
+    neighbour, in repeated ascending passes; stragglers join the first
+    class.  Scans the edge list once per pending node and pass."""
+    assign = {}
+    for ci, cls in enumerate(classes):
+        for i in cls:
+            assign[i] = ci
+    pending = [i for i in range(g.n) if i not in assign]
+    changed = True
+    while pending and changed:
+        changed = False
+        for i in list(pending):
+            nbrs = [j for j in g.neighbors(i) if j in assign]
+            if nbrs:
+                assign[i] = assign[min(nbrs)]
+                pending.remove(i)
+                changed = True
+    for i in pending:
+        assign[i] = 0
+    out: list[list[int]] = [[] for _ in classes]
+    for i in sorted(assign):
+        out[assign[i]].append(i)
+    return out

@@ -158,14 +158,13 @@ def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
     pos.write_text("0\n1\n")
     neg.write_text("2 3\n")
     calls = []
-    real = cli.eigendecompose
+    real = spectral.eigendecompose
 
     def spy(A, *args, **kwargs):
         calls.append(A.shape)
         return real(A, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "eigendecompose", spy)
-    monkeypatch.setattr(cli.ct, "eigendecompose", spy)
+    monkeypatch.setattr(spectral, "eigendecompose", spy)
     code, out = run_capture(
         capsys,
         ["verify-proof", p4_file, "--k", "2", "--pos", str(pos), "--neg", str(neg)],
@@ -209,14 +208,14 @@ def test_verify_proof_low_end_matches_dense_route(capsys, tmp_path, monkeypatch,
     graph, pos, neg = (str(tmp_path / f) for f in ("g.txt", "pos.txt", "neg.txt"))
     fileio.write_edge_list(g, graph)
     routes = []
-    real = cli.ct.eigendecompose
+    real = cli.ct.laplacian_decomposition
 
     def spy(*args, **kwargs):
         d = real(*args, **kwargs)
         routes.append(d.radii is not None)
         return d
 
-    monkeypatch.setattr(cli.ct, "eigendecompose", spy)
+    monkeypatch.setattr(cli.ct, "laplacian_decomposition", spy)
     low_end_min = spectral.LOW_END_MIN_ORDER
     for k, a, b in LOW_END_PARTS:
         pos_cls, neg_cls = proof_partition(ys[k], a, b)
@@ -234,6 +233,39 @@ def test_verify_proof_low_end_matches_dense_route(capsys, tmp_path, monkeypatch,
         assert routes[-2:] == [True, False]
         assert results[0] == results[1]
         assert results[0][0] == 0 and (results[0][1], results[0][2]) == (a, b)
+
+
+def test_spectral_routes(capsys, tmp_path, monkeypatch):
+    """The dense n x n solves each entry point makes: the full route (one
+    eigh), the index route (eigvalsh, then inverse iteration's solves) or
+    the certified low end (none)."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+
+        def spy(A, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(A)))
+            return _real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def square(call, n):
+        calls.clear()
+        call()
+        return [name for name, shape in calls if shape == (n, n)]
+
+    assert square(lambda: cli.ct.verify_theorem1(gen_path(7), 2), 7) == ["eigh"]
+    g = gen_random_regular(100, 4, 0)
+    made = square(lambda: cli.ct.verify_theorem1(g, 2, mode="heuristic"), 100)
+    assert made[0] == "eigvalsh" and set(made[1:]) == {"solve"}
+    g600, ys = proof_graph("gnp", 600)
+    pos, neg = proof_partition(ys[2], 2, 1)
+    assert square(lambda: cli.ct.build_proof_objects(g600, 2, pos, neg), 600) == []
+    graph = str(tmp_path / "g.txt")
+    fileio.write_edge_list(g, graph)
+    argv = ["expander-check", graph, "--eigvec", "2", "--c", "0.05", "--mode", "heuristic"]
+    # one eigh for the weights, one for the heuristic's own Fiedler order
+    assert square(lambda: run_capture(capsys, argv), 100) == ["eigh", "eigh"]
 
 
 def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):
@@ -299,6 +331,16 @@ def test_demo_counterexample_small(capsys):
     res = json.loads(out)
     assert res["n"] == 12
     assert res["weighted"]["is_expander"] is True  # corollary guarantee
+
+
+def test_demo_counterexample_one_node_support(capsys):
+    # the positive support of y_2 is one node, where no cut has a value
+    code, out = run_capture(capsys, ["demo-counterexample", "--n-block", "2", "--d", "0"])
+    assert code == 0
+    res = json.loads(out)
+    assert len(res["positive_support"]) == 1
+    assert res["weighted"]["min_phi"] is None
+    assert res["unweighted"]["min_phi"] is None
 
 
 def test_batch_verify_small(capsys):

@@ -33,6 +33,7 @@ from nodal_expansion.graph import build_graph, induced_subgraph
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 from nodal_expansion.graph import laplacian, sign_support
 
+import loop_checks
 from oracles import (
     brute_is_partitionable,
     brute_min_phi,
@@ -797,3 +798,37 @@ class TestCarriedCuts:
             for mode in ("exact", "heuristic"):
                 cert = find_partition(g, w, 1, c, mode=mode)
                 assert cert.cuts == () and cert.phis == () and len(cert.classes) == 1
+
+
+class TestZeroWeightAttachment:
+    """The search attaches zero-weight nodes to its classes as the loop form
+    in `loop_checks` does, class for class."""
+
+    def test_matches_loop_form_on_random_instances(self):
+        rng = np.random.default_rng(23)
+        compared = 0
+        for seed in range(300):
+            n = int(rng.integers(2, 16))
+            g = gen_gnp(n, float(rng.uniform(0.1, 0.6)), seed)
+            w = rng.random(n) * (rng.random(n) >= 0.5)
+            pos = np.flatnonzero(w > 0).tolist()
+            if not pos:
+                continue
+            x = _Input.checked(g, w)
+            for k in (1, 2, 3):
+                labels = rng.integers(0, k, len(pos))
+                classes = [[v for v, ci in zip(pos, labels) if ci == j] for j in range(k)]
+                got = xp._attach_zero_weight_nodes(x, classes)
+                assert got == loop_checks.attach_zero_weight_nodes(g, classes)
+                compared += 1
+        assert compared > 600
+
+    def test_long_chain_of_zero_weights(self):
+        # each pass attaches one more node of the path, from the right
+        g = gen_path(300)
+        w = np.zeros(300)
+        w[-2:] = 1.0
+        classes = [[298], [299]]
+        got = xp._attach_zero_weight_nodes(_Input.checked(g, w), classes)
+        assert got == loop_checks.attach_zero_weight_nodes(g, classes)
+        assert got == [list(range(299)), [299]]

@@ -13,6 +13,7 @@ from nodal_expansion.spectral import (
     NotSymmetricError,
     eigendecompose,
     is_repeated,
+    laplacian_decomposition,
     select_eigenpair,
     spectral_gap_c,
 )
@@ -272,19 +273,15 @@ class TestIndexPath:
             select_eigenpair(d, 3)
 
 
-def lapl(g):
-    return laplacian(g), g.edge_arrays()
-
-
 class TestLowEnd:
-    """eigendecompose(L, k, through=K, edges=...): lambda_1..lambda_K and y_k
+    """laplacian_decomposition(g, k, through=K): lambda_1..lambda_K and y_k
     from certified Lanczos pairs, or the dense route's bits."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", SIZES)
     def test_certified_on_proof_graphs(self, family, n):
         g, ys = proof_graph(family, n)
-        L, edges = lapl(g)
+        L = laplacian(g)
         values = np.linalg.eigvalsh(L)
         # numpy's eigenvalues are good to about n eps ||L||, no better
         # (they miss the exact lambda_1 = 0 by up to 1.5e-14 at n = 1200,
@@ -292,7 +289,7 @@ class TestLowEnd:
         eigvalsh_err = n * EPS * 2 * np.max(np.diag(L))
         for k in KS:
             for K in (k + 1, k + 2):
-                d = eigendecompose(L, k, through=K, edges=edges)
+                d = laplacian_decomposition(g, k, through=K)
                 assert d.radii is not None and d.index == k
                 assert d.n == n and len(d.values) == len(d.radii) == K
                 lo, hi = d.values - d.radii, d.values + d.radii
@@ -311,7 +308,7 @@ class TestLowEnd:
         # still narrow and disjoint, so only the Cholesky certificate sees
         # that an eigenvalue below tau is missing
         g, _ = proof_graph("gnp", 600)
-        L, edges = lapl(g)
+        L = laplacian(g)
         real = spectral._lanczos
 
         def drop_second(deg, us, vs, count, k, bound):
@@ -320,7 +317,7 @@ class TestLowEnd:
             return theta[keep], V[:, keep]
 
         monkeypatch.setattr(spectral, "_lanczos", drop_second)
-        d = eigendecompose(L, 3, through=4, edges=edges)
+        d = laplacian_decomposition(g, 3, through=4)
         dense = eigendecompose(L, 3)
         assert d.radii is None
         assert np.array_equal(d.values, dense.values)
@@ -330,7 +327,7 @@ class TestLowEnd:
         # G(600, 8/599) seed 0 has an isolated node: lambda_1 = lambda_2 = 0
         g = gen_gnp(600, 8 / 599, 0)
         assert component_count(g) == 2
-        L, edges = lapl(g)
+        L = laplacian(g)
         full = eigendecompose(L)
         calls = []
         real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
@@ -345,7 +342,7 @@ class TestLowEnd:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        d = eigendecompose(L, 2, through=3, edges=edges)
+        d = laplacian_decomposition(g, 2, through=3)
         assert ("eigh", L.shape) in calls
         assert all(name != "eigvalsh" for name, _ in calls)
         assert d.index is None and d.radii is None
@@ -358,7 +355,7 @@ class TestLowEnd:
         # the path's low eigenvalues lie about 1e-5 apart: Lanczos does not
         # converge within the cap, and the dense route gives its own bits
         g = gen_path(1200)
-        L, edges = lapl(g)
+        L = laplacian(g)
         steps = []
         real = spectral._laplacian_matvec
 
@@ -367,7 +364,7 @@ class TestLowEnd:
             return real(deg, us, vs, x)
 
         monkeypatch.setattr(spectral, "_laplacian_matvec", matvec)
-        d = eigendecompose(L, 2, through=3, edges=edges)
+        d = laplacian_decomposition(g, 2, through=3)
         assert len(steps) == spectral.LANCZOS_MAX_STEPS
         dense = eigendecompose(L, 2)
         assert d.radii is None and d.index == 2
@@ -376,24 +373,30 @@ class TestLowEnd:
 
     def test_through_ignored_without_room(self):
         g, _ = proof_graph("gnp", 600)
-        L, edges = lapl(g)
+        L = laplacian(g)
         dense = eigendecompose(L, 2)
         for through in (2, 1, g.n):  # K must satisfy k < K < n
-            d = eigendecompose(L, 2, through=through, edges=edges)
+            d = laplacian_decomposition(g, 2, through=through)
             assert d.radii is None and np.array_equal(d.vectors, dense.vectors)
         small = gen_random_regular(400, 4, 0)
         L_small = laplacian(small)
-        d = eigendecompose(L_small, 2, through=3, edges=small.edge_arrays())
+        d = laplacian_decomposition(small, 2, through=3)
         assert d.radii is None
         assert np.array_equal(d.vectors, eigendecompose(L_small, 2).vectors)
         for M in (L, L_small):
-            with pytest.raises(ValueError, match="edge arrays"):
+            with pytest.raises(TypeError):
                 eigendecompose(M, 2, through=3)
+
+    def test_eigendecompose_takes_no_edge_list(self):
+        # the low end runs on the graph's own edges; an edge list handed in
+        # beside a matrix could belong to another graph
+        g = gen_path(4)
+        with pytest.raises(TypeError):
+            eigendecompose(laplacian(g), 2, through=3, edges=g.edge_arrays())
 
     def test_order_is_not_value_count(self):
         g, _ = proof_graph("gnp", 600)
-        L, edges = lapl(g)
-        d = eigendecompose(L, 2, through=3, edges=edges)
+        d = laplacian_decomposition(g, 2, through=3)
         assert d.radii is not None
         assert d.n == 600 and len(d.values) == 3
         assert d.value(3) == float(d.values[2])

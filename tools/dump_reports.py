@@ -19,6 +19,15 @@ first), and at each threshold in THRESHOLDS `is_expander`,
 `max_partitionable` and `find_partition` at k = 1..n, in the given mode.  A
 call that raises is written as its exception's class and message.
 
+A fixed section of larger graphs follows, so that the dump also reaches the
+index route (order 64 and above) and the certified low end (order 600 and
+above) of the spectral solve: the `tests/proof_graphs.py` graphs of orders
+600, 800 and 1200, a path on 300 nodes and a random 4-regular graph on 400.
+For each it writes a heuristic `theorem` line at k = 2..4 with the `proof`
+line of the report's classes, a `proof` line for each `proof_partition` of
+y_k at (k, a, b) in PARTS, and an `expander-check` line with the stdout of
+the in-process `expander-check --eigvec k --c 0.05 --mode heuristic`.
+
 Every float is written as `float.hex`, so two dumps are equal exactly when
 every report is equal bit for bit, signed zeros included.  Run it from the
 root of a checkout (the package is imported from ./src) on two revisions and
@@ -28,15 +37,20 @@ root of a checkout (the package is imported from ./src) on two revisions and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path.cwd() / "src"))
 
+from nodal_expansion import cli, fileio  # noqa: E402
 from nodal_expansion.certificate import (  # noqa: E402
     build_proof_objects,
     run_checks,
@@ -51,10 +65,17 @@ from nodal_expansion.expansion import (  # noqa: E402
     phi,
     sweep_cut,
 )
-from nodal_expansion.generators import enumerate_connected_graphs  # noqa: E402
+from nodal_expansion.generators import (  # noqa: E402
+    enumerate_connected_graphs,
+    gen_path,
+    gen_random_regular,
+)
 from nodal_expansion.graph import laplacian  # noqa: E402
+from nodal_expansion.spectral import canonical_sign  # noqa: E402
 
 THRESHOLDS = (0.6, 1.5)
+# (k, a, b) of the given partitions checked on the larger graphs
+PARTS = ((2, 1, 1), (3, 2, 2), (2, 2, 1))
 
 
 def hexed(obj):
@@ -92,6 +113,51 @@ def search_lines(g, w, mode):
             yield "find_partition", [k, c], outcome(lambda: find_partition(g, w, k, c, mode))
 
 
+def load_proof_graphs():
+    """tests/proof_graphs.py, loaded from its path."""
+    path = Path.cwd() / "tests" / "proof_graphs.py"
+    spec = importlib.util.spec_from_file_location("proof_graphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def proof_line(g, k, pos, neg):
+    """The `run_checks` outcome on `build_proof_objects`, each check with
+    its flags."""
+
+    def checks():
+        p = build_proof_objects(g, k, pos, neg)
+        return [{**c.as_dict(), "flags": list(c.flags)} for c in run_checks(p)]
+
+    return ["proof", outcome(checks)]
+
+
+def large_lines(tmp: Path):
+    """The lines of the larger graphs' section, in order."""
+    pg = load_proof_graphs()
+    graphs = [pg.proof_graph(family, n) for n in pg.SIZES for family in pg.FAMILIES]
+    for g in (gen_path(300), gen_random_regular(400, 4, 1)):
+        vectors = np.linalg.eigh(laplacian(g))[1]
+        graphs.append((g, {k: canonical_sign(vectors[:, k - 1]) for k in pg.KS}))
+    graph = str(tmp / "g.txt")
+    for g, ys in graphs:
+        fileio.write_edge_list(g, graph)
+        for k in (2, 3, 4):
+            report = verify_theorem1(g, k, mode="heuristic")
+            yield ["theorem", hexed(report.as_dict())]
+            if report.a + report.b >= 1:
+                yield proof_line(g, k, report.pos_classes, report.neg_classes)
+        for k, a, b in PARTS:
+            yield proof_line(g, k, *pg.proof_partition(ys[k], a, b))
+        for k in (2, 3, 4):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.run(["expander-check", graph, "--eigvec", str(k), "--c", "0.05",
+                                "--mode", "heuristic"])
+            yield ["expander-check", k, code, stdout.getvalue()]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=6)
@@ -105,15 +171,17 @@ def main() -> None:
                 report = verify_theorem1(g, k, mode=args.mode)
                 out.write(json.dumps(["theorem", hexed(report.as_dict())]) + "\n")
                 if report.a + report.b >= 1:
-                    p = build_proof_objects(g, k, report.pos_classes, report.neg_classes)
-                    checks = [{**c.as_dict(), "flags": list(c.flags)} for c in run_checks(p)]
-                    out.write(json.dumps(["proof", hexed(checks)]) + "\n")
+                    line = proof_line(g, k, report.pos_classes, report.neg_classes)
+                    out.write(json.dumps(line) + "\n")
             if n >= 3:
                 report = verify_corollary1(g)
                 out.write(json.dumps(["corollary", hexed(report.as_dict())]) + "\n")
             w = rng.random(n) * (rng.random(n) >= 0.25)
             for line in search_lines(g, w, args.mode):
                 out.write(json.dumps(["search", *hexed(line)]) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in large_lines(Path(tmp)):
+            out.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":
