@@ -26,8 +26,9 @@ once and holds the selected pair, w, c, the tolerance, the sign support,
 and each side's induced subgraph with its weights, built on first use.
 Each class's cut in its side's subgraph is summed once and kept in
 `ProofObjects.cuts`: `verify_theorem1` takes the cuts its search's
-certificates carry, and `build_proof_objects` evaluates the caller's
-classes with `phi`.
+certificates carry, and `build_proof_objects` checks each side's weights
+once and evaluates the caller's classes there by the cut kernel, the bits
+`phi` gives.
 
 `build_proof_objects` builds C with B when there are two or more classes.
 Every check takes the proof objects alone: the spectrum is `p.spectrum`,
@@ -233,7 +234,11 @@ def build_proof_objects(
             cuts += [None] * len(side)
             continue
         sub, w_sub = s.side(j)
-        cuts += [xp.phi(sub.graph, w_sub, np.searchsorted(sub.to_parent, cls)) for cls in side]
+        x = xp._Input.checked(sub.graph, w_sub)
+        cuts += [
+            xp._mask_cut(x, x.mask(np.searchsorted(sub.to_parent, cls)), proper=True)
+            for cls in side
+        ]
     return _proof_objects(s, *sides, cuts)
 
 

@@ -182,19 +182,30 @@ def cmd_demo_counterexample(args) -> int:
     g = gen.gen_expander_path_expander(args.n_block, args.d, args.path_len, args.seed)
     s = ct.EigenSplit(g, 2)
     d, c = s.spectrum, s.c
+    out = {
+        "n": g.n,
+        "m": g.m,
+        "lambda_2": float(d.values[1]),
+        "lambda_3": float(d.values[2]),
+        "c": float(c),
+        "gap_ordering_holds": bool(d.values[1] < d.values[2] - d.values[1]),
+        "positive_support": list(s.support.positive),
+    }
+    if c <= s.tolerance:
+        # verify_corollary1's rule: with c at most the tolerance the gap is
+        # degenerate, and no verdict is taken
+        no_verdict = {"min_phi": None, "is_expander": None}
+        emit_json({**out, "weighted": no_verdict,
+                   "unweighted": {**no_verdict, "witness": None},
+                   "flags": ["degenerate_gap"]})
+        return EXIT_OK
     sub, w_sub = s.side(0)
     weighted = xp.is_expander(sub.graph, w_sub, c, mode="exact")
     ones = np.ones(sub.graph.n)
     unweighted = xp.is_expander(sub.graph, ones, c, mode="exact")
     emit_json(
         {
-            "n": g.n,
-            "m": g.m,
-            "lambda_2": float(d.values[1]),
-            "lambda_3": float(d.values[2]),
-            "c": float(c),
-            "gap_ordering_holds": bool(d.values[1] < d.values[2] - d.values[1]),
-            "positive_support": list(s.support.positive),
+            **out,
             "weighted": {
                 "min_phi": None if weighted.min_phi is None else float(weighted.min_phi),
                 "is_expander": bool(weighted.is_expander),

@@ -40,12 +40,16 @@ after 0, 1, 2, ... splits, so `max_partitionable` walks the chain once for
 k = 1, 2, ... and `find_partition` draws k - 1 splits from it.
 
 Exact mode rests on one table: phi of every subset of the p positive-weight
-nodes, built by doubling.  Bit j takes the masks [2^j, 2^(j+1)) from the
-masks [0, 2^j) by adding w_j, the weighted degree deg_j, and t_j(m), the
-edge weight from node j into m; then cut = dsum - 2*inner.  Next to each
-entry the table carries a rounding bound, after the gamma_k bounds of
-Higham (Accuracy and Stability of Numerical Algorithms, 2002), that covers
-both its own arithmetic and the kernel's sequential sums.  Table values only
+nodes.  Bit j takes the masks [2^j, 2^(j+1)) from the masks [0, 2^j) by
+adding w_j, the weighted degree deg_j, and t_j(m), the edge weight from
+node j into m; then cut = dsum - 2*inner.  Up to 13 nodes the whole table
+is built by this doubling.  Above that the doubling covers only the low
+half of the nodes, and the high half goes in at once, by one product of
+the high masks' bit matrix with the rows t_j of the low masks (the split of
+Horowitz and Sahni, J. ACM 21, 1974).  Next to each entry the table carries
+a rounding bound, after the gamma_k bounds of Higham (Accuracy and
+Stability of Numerical Algorithms, 2002), that covers both its own
+arithmetic, either way, and the kernel's sequential sums.  Table values only
 screen and are never reported: every entry that can decide an outcome (a
 possible minimum, or an entry within its bound of c) is evaluated again by
 the kernel, and the kernel's value decides.  The smallest kernel value
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,6 +86,9 @@ _UNDERFLOW = 4 * np.finfo(float).smallest_subnormal
 # the kernel runs on blocks of at most this many mask-by-node or mask-by-edge
 # entries
 _BLOCK = 1 << 22
+# the half table of more free nodes than this is built by the split, not
+# by doubling alone (`_phi_table`)
+_SPLIT_ABOVE = 12
 
 
 class ExpansionError(ValueError):
@@ -259,6 +267,15 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     return _mask_cut(x, in_s, proper=True)
 
 
+@lru_cache(maxsize=None)
+def _bit_matrix(bits: int) -> np.ndarray:
+    """Read-only 0/1 matrix of shape (2^bits, bits): row M holds the bits
+    of M, bit k in column k."""
+    out = ((np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1).astype(float)
+    out.flags.writeable = False
+    return out
+
+
 def _phi_table(
     g: Graph, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,14 +286,26 @@ def _phi_table(
     j stands for pos[j]); its complement, the odd mask 2^p - 1 - 2i, has
     the same phi.
 
-    The half table is built by doubling over the nodes of pos[1:], O(2^p)
-    per pass: node j extends every mask m of the nodes before it by w_j,
-    the weighted degree deg_j and t_j(m), the edge weight from node j into
-    m.  The t_j are themselves rows of the doubling, one per node not yet
+    The f = p - 1 free nodes pos[1:] are added by doubling, O(2^f) per
+    pass: node j extends every mask m of the nodes before it by w_j, the
+    weighted degree deg_j and t_j(m), the edge weight from node j into m.
+    The t_j are themselves rows of the doubling, one per node not yet
     added, and each row is dropped once it is used.  This gives w(S),
     dsum(S) and inner(S), the weight of the edges inside S, for every mask;
     then cut = dsum - 2*inner, and w(V \\ S) is w(pos[0]) plus the weight of
     the complementary mask, not w(V) - w(S).
+
+    Above _SPLIT_ABOVE free nodes, each doubling pass would carry every row
+    through the whole table, so the doubling stops after the low h = f // 2
+    free nodes (Horowitz and Sahni's split, J. ACM 21, 1974).  Its rows then
+    hold inner, w and dsum of every low mask L, and t_j(L) for each high
+    node j, stacked as T.  A set is a high mask H and a low mask L, entry
+    i = H 2^h + L, and the high nodes go in at once:
+    inner(H | L) = (B T)[H, L] + inner(H) + inner(L), with B the 0/1 matrix
+    of the high masks' bits (`_bit_matrix`), and w and dsum are outer sums
+    of a high part and a low part.  The high parts are B times the high
+    nodes' weights, degrees and upper-triangle edge weights, each edge
+    inside H counted once.
 
     The bound is 8 gamma_K (dsum + 2 inner) / min(w(S), w(V \\ S)), plus an
     absolute term for underflow, with K = m + 2n + 2 counting every rounding
@@ -284,35 +313,68 @@ def _phi_table(
     kernel's each lie within about 3 gamma_K times that ratio of the exact
     phi of the same float edge terms.  The ratio has dsum + 2*inner, not
     cut, on top because dsum - 2*inner cancels.
+
+    The split keeps this bound, with the same K.  inner, w and dsum are
+    still sums of nonnegative float terms, and such a sum, in any order and
+    grouping, lies within gamma_d of its exact value, where d is the most
+    additions that any one term passes through.  A product with B only
+    picks terms, since 0 t = 0 and 1 t = t exactly, so neither the order of
+    the BLAS product nor a fused multiply-add adds a rounding of its own.
+    An edge term of inner passes through at most h + 2 additions when both
+    ends are low (inner(L), then the two sums), h + (f - h - 1) + 2 when one
+    is (t_j(L), the product, the two sums), and 2 (f - h - 1) + 2 when none
+    is (the two reductions of inner(H), with f - h <= (f + 1) / 2, then the
+    two sums); w and dsum pass through fewer.  So d <= f + 1 = p <= K.
     """
     w_pos, us, vs, sqrt_e = terms
     p = len(w_pos)
     A = np.zeros((p, p))
     A[us, vs] = sqrt_e
     A[vs, us] = sqrt_e
+    deg = A.sum(axis=1)
+    f = p - 1
+    h = f if f <= _SPLIT_ABOVE else f // 2
 
     # Rows: inner(m), w(m), dsum(m), then the edge weight from pos[j] into
     # m for j = p-1 down to 1, over the masks m of the free nodes pos[1:]
     # with pos[0] pinned outside S; free bit b stands for pos[b + 1].
     # Column b of `step` is what setting bit b adds to each row; inner gains
     # the row of pos[b + 1], the last one, which is then dropped.
-    step = np.zeros((p + 2, p - 1))
+    step = np.zeros((p + 2, f))
     step[1] = w_pos[1:]
-    step[2] = A[1:p].sum(axis=1)
+    step[2] = deg[1:]
     step[3:] = A[p - 1: 0: -1, 1:p]
     rows = np.zeros((p + 2, 1))
-    for b in range(p - 1):
+    for b in range(h):
         t, rows = rows[-1], rows[:-1]
         rows = np.concatenate((rows, rows + step[: len(rows), b, None]), axis=1)
         rows[0, 1 << b:] += t
-    inner, ws, dsum = rows
-    two_inner = 2.0 * inner
-    denom = np.minimum(ws, w_pos[0] + ws[::-1])
+    inner, ws, dsum = rows[:3]
+    if h < f:
+        high = slice(h + 1, p)
+        bits = _bit_matrix(f - h)
+        sums = bits @ np.column_stack((np.triu(A[high, high]), w_pos[high], deg[high]))
+        inner_high = np.einsum("ij,ij->i", sums[:, : f - h], bits)
+        # rows[3:] holds t_j for j = p-1 down to h+1, so reversed it lines
+        # up with the bits of B
+        cross = bits @ rows[:2:-1]
+        cross += inner_high[:, None]
+        cross += inner
+        inner = cross.ravel()
+        ws = np.add.outer(sums[:, -2], ws).ravel()
+        dsum = np.add.outer(sums[:, -1], dsum).ravel()
+    inner *= 2.0  # now 2*inner, exactly
+    denom = ws[::-1] + w_pos[0]
+    np.minimum(ws, denom, out=denom)
     denom[0] = np.inf  # the empty set; its entry is set to inf below
-    half = (dsum - two_inner) / denom
-    err = (dsum + two_inner) / denom * (8.0 * _gamma(g.m + 2 * g.n + 2))
+    half = np.subtract(dsum, inner, out=ws)  # w(S) is read no more
+    half /= denom
+    err = np.add(dsum, inner, out=dsum)
+    err /= denom
+    err *= 8.0 * _gamma(g.m + 2 * g.n + 2)
     half[0], err[0] = np.inf, 0.0
-    return half, err + _UNDERFLOW
+    err += _UNDERFLOW
+    return half, err
 
 
 def _subset_phis(
@@ -348,9 +410,12 @@ def _exact_min_phi(x: _Input) -> tuple[float, tuple[int, ...]]:
     set at phi 0 therefore ends the search."""
     terms = x.restrict(x.pos)
     half, err = _phi_table(x.g, terms)
-    lo = np.maximum(half - err, 0.0)
     i = int(np.argmin(half))
-    cand = np.flatnonzero(lo <= half[i] + err[i])
+    cap = half[i] + err[i]
+    # each set's lower bound, in place of its bound; the floor at 0 is left
+    # out, since cap >= 0 and a best value of 0 ends the search anyway
+    lo = np.subtract(half, err, out=err)
+    cand = np.flatnonzero(lo <= cap)
     best, best_i, size = np.inf, -1, 64
     while len(cand):
         block, cand = cand[:size], cand[size:]
@@ -358,6 +423,8 @@ def _exact_min_phi(x: _Input) -> tuple[float, tuple[int, ...]]:
         j = int(np.argmin(vals))  # the first, so the lowest mask, among minima
         if vals[j] < best:
             best, best_i = vals[j], int(block[j])
+        if best == 0:
+            break
         cand = cand[lo[cand] < best]
         size *= 4
     witness = tuple(node for b, node in enumerate(x.pos) if 2 * best_i >> b & 1)

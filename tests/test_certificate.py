@@ -334,6 +334,26 @@ def test_theorem_search_enters_the_public_api_once_per_side(monkeypatch):
     assert len(builds) == calls["max_partitionable"]
 
 
+def test_proof_objects_check_each_side_once(monkeypatch):
+    """build_proof_objects checks a side's weights once, in one record, and
+    takes every class's cut of that side from it: the bits `phi` gives."""
+    g = gen_gnp(12, 0.5, seed=2)
+    supp = sign_support(select_eigenpair(eigendecompose(laplacian(g)), 3).y)
+    pos = [list(part) for part in np.array_split(supp.positive, 3)]
+    neg = [list(part) for part in np.array_split(supp.negative, 2)]
+    assert min(map(len, pos + neg)) >= 1
+    builds, checked = [], xp._Input.checked
+    monkeypatch.setattr(xp._Input, "checked", lambda *a: builds.append(a[0].n) or checked(*a))
+    p = ct.build_proof_objects(g, 3, pos, neg)
+    monkeypatch.undo()
+    assert builds == [len(supp.positive), len(supp.negative)]
+    for cls, cut in zip(p.parts, p.cuts):
+        side = supp.positive if cls[0] in supp.positive else supp.negative
+        sub = induced_subgraph(g, side)
+        w_sub = (p.y * p.y)[list(sub.to_parent)]
+        assert cut == xp.phi(sub.graph, w_sub, np.searchsorted(sub.to_parent, cls))
+
+
 def test_corollary_takes_no_budget():
     with pytest.raises(TypeError):
         ct.verify_corollary1(barbell(), 10)

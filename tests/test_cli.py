@@ -343,6 +343,17 @@ def test_demo_counterexample_one_node_support(capsys):
     assert res["unweighted"]["min_phi"] is None
 
 
+def test_demo_counterexample_degenerate_gap(capsys):
+    """Blocks without edges give c = 0: the demo reports the degenerate
+    gap, as verify_corollary1 does, and takes no verdict."""
+    code, out = run_capture(capsys, ["demo-counterexample", "--n-block", "4", "--d", "0"])
+    assert code == 0
+    res = json.loads(out)
+    assert res["c"] == 0.0 and res["flags"] == ["degenerate_gap"]
+    assert res["weighted"] == {"min_phi": None, "is_expander": None}
+    assert res["unweighted"] == {"min_phi": None, "is_expander": None, "witness": None}
+
+
 def test_batch_verify_small(capsys):
     code, out = run_capture(capsys, ["batch-verify", "--max-n", "4"])
     assert code == 0

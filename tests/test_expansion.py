@@ -42,6 +42,7 @@ from oracles import (
     kernel_phi_table,
     sequential_cut,
 )
+from split_cases import split_cases
 
 
 def k2():
@@ -605,6 +606,48 @@ class TestScreenedTable:
         assert v.min_phi == best
         expect = tuple(node for j, node in enumerate(pos) if mask >> j & 1)
         assert v.witness == (expect if best < c else None)
+
+
+SPLIT_CASES = list(split_cases())
+
+
+class TestSplitTable:
+    """The half table above the split's break-even, where the high free
+    nodes enter by one matrix product."""
+
+    @pytest.mark.parametrize("g, w", [case[1:] for case in SPLIT_CASES],
+                             ids=[case[0] for case in SPLIT_CASES])
+    def test_entries_within_bound(self, g, w):
+        """Every entry lies within its bound of the kernel's value: all
+        entries up to 16 nodes, and above that a seeded sample plus every
+        set that the screen sends to the kernel."""
+        x = _Input.checked(g, w)
+        terms = x.restrict(x.pos)
+        p = len(x.pos)
+        assert p - 1 > xp._SPLIT_ABOVE  # the split path
+        half, err = xp._phi_table(g, terms)
+        assert len(half) == 1 << (p - 1) and half[0] == np.inf
+        if p <= 16:
+            idx = np.arange(1, len(half))
+        else:
+            i = int(np.argmin(half))
+            cand = np.flatnonzero(np.maximum(half - err, 0.0) <= half[i] + err[i])
+            sample = np.random.default_rng(p).integers(1, len(half), 4096)
+            idx = np.union1d(sample, cand[cand > 0])
+        kernel = xp._subset_phis(terms, 2 * idx)
+        assert np.all(np.abs(half[idx] - kernel) <= err[idx])
+
+    @pytest.mark.parametrize("name", ["gnp14-random", "gnp14-unit"])
+    def test_is_expander_matches_kernel_oracle(self, name):
+        g, w = next(case[1:] for case in SPLIT_CASES if case[0] == name)
+        table = kernel_phi_table(g, w)
+        # the minimum over the sets without node 0, and the lowest such mask
+        # among the minimizers
+        best = min(table[0::2])
+        mask = 2 * table[0::2].index(best)
+        v = is_expander(g, w, 2 * best + 1)
+        assert v.min_phi == best
+        assert v.witness == tuple(j for j in range(g.n) if mask >> j & 1)
 
 
 class TestMaxPartitionable:

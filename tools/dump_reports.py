@@ -8,8 +8,8 @@ per `verify_theorem1(g, k, mode)` report, k = 1..n-1, and one line per
 `verify_corollary1(g)` report, n >= 3.  After each theorem line with
 a + b >= 1 it writes one line of `run_checks` on `build_proof_objects` for
 the report's classes, the path that `verify-proof` takes, which evaluates
-each class with `phi` rather than reading the search's cuts; each check
-with its flags.
+each class by the cut kernel rather than reading the search's cuts; each
+check with its flags.
 
 Eigenvector weights never put a zero-weight node in a support, so each graph
 also gets seeded weights of its own, about a quarter of them zero, and one
@@ -27,6 +27,17 @@ For each it writes a heuristic `theorem` line at k = 2..4 with the `proof`
 line of the report's classes, a `proof` line for each `proof_partition` of
 y_k at (k, a, b) in PARTS, and an `expander-check` line with the stdout of
 the in-process `expander-check --eigvec k --c 0.05 --mode heuristic`.
+
+A last fixed section reaches the exact engine's split table (more than
+13 positive-weight nodes): an exact `is_expander` line at each threshold in
+THRESHOLDS for each `tests/split_cases.py` input (14 to 20 nodes), a
+`corollary` line for each G(36, 0.2) graph in COROLLARY_SEEDS (both y_2
+supports of 18 nodes), and for each argument list in DEMOS a
+`demo-counterexample` line with the in-process command's exit code and
+stdout, then a `demo-support` line with the exact verdicts that the
+command prints, on the positive support at the half-gap c, weighted and
+unweighted (null when the gap is degenerate).  The defaults give a 20-node
+support.
 
 Every float is written as `float.hex`, so two dumps are equal exactly when
 every report is equal bit for bit, signed zeros included.  Run it from the
@@ -52,6 +63,7 @@ sys.path.insert(0, str(Path.cwd() / "src"))
 
 from nodal_expansion import cli, fileio  # noqa: E402
 from nodal_expansion.certificate import (  # noqa: E402
+    EigenSplit,
     build_proof_objects,
     run_checks,
     verify_corollary1,
@@ -67,6 +79,8 @@ from nodal_expansion.expansion import (  # noqa: E402
 )
 from nodal_expansion.generators import (  # noqa: E402
     enumerate_connected_graphs,
+    gen_expander_path_expander,
+    gen_gnp,
     gen_path,
     gen_random_regular,
 )
@@ -76,6 +90,10 @@ from nodal_expansion.spectral import canonical_sign  # noqa: E402
 THRESHOLDS = (0.6, 1.5)
 # (k, a, b) of the given partitions checked on the larger graphs
 PARTS = ((2, 1, 1), (3, 2, 2), (2, 2, 1))
+# G(36, 0.2) seeds whose y_2 supports both have 18 nodes
+COROLLARY_SEEDS = (7, 17, 18, 30)
+# demo-counterexample arguments: the defaults, and a degenerate gap
+DEMOS = ((), ("--n-block", "4", "--d", "0"))
 
 
 def hexed(obj):
@@ -113,13 +131,21 @@ def search_lines(g, w, mode):
             yield "find_partition", [k, c], outcome(lambda: find_partition(g, w, k, c, mode))
 
 
-def load_proof_graphs():
-    """tests/proof_graphs.py, loaded from its path."""
-    path = Path.cwd() / "tests" / "proof_graphs.py"
-    spec = importlib.util.spec_from_file_location("proof_graphs", path)
+def load_tests_module(name):
+    """tests/<name>.py, loaded from its path."""
+    path = Path.cwd() / "tests" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def cli_stdout(argv):
+    """Exit code and stdout of the in-process command line `argv`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.run(argv)
+    return code, stdout.getvalue()
 
 
 def proof_line(g, k, pos, neg):
@@ -135,7 +161,7 @@ def proof_line(g, k, pos, neg):
 
 def large_lines(tmp: Path):
     """The lines of the larger graphs' section, in order."""
-    pg = load_proof_graphs()
+    pg = load_tests_module("proof_graphs")
     graphs = [pg.proof_graph(family, n) for n in pg.SIZES for family in pg.FAMILIES]
     for g in (gen_path(300), gen_random_regular(400, 4, 1)):
         vectors = np.linalg.eigh(laplacian(g))[1]
@@ -151,11 +177,30 @@ def large_lines(tmp: Path):
         for k, a, b in PARTS:
             yield proof_line(g, k, *pg.proof_partition(ys[k], a, b))
         for k in (2, 3, 4):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.run(["expander-check", graph, "--eigvec", str(k), "--c", "0.05",
-                                "--mode", "heuristic"])
-            yield ["expander-check", k, code, stdout.getvalue()]
+            argv = ["expander-check", graph, "--eigvec", str(k), "--c", "0.05",
+                    "--mode", "heuristic"]
+            yield ["expander-check", k, *cli_stdout(argv)]
+
+
+def split_lines():
+    """The lines of the split-table section, in order."""
+    for name, g, w in load_tests_module("split_cases").split_cases():
+        for c in THRESHOLDS:
+            yield ["split-table", name, hexed(c), hexed(is_expander(g, w, c, "exact"))]
+    for seed in COROLLARY_SEEDS:
+        report = verify_corollary1(gen_gnp(36, 0.2, seed))
+        yield ["corollary", hexed(report.as_dict())]
+    for argv in DEMOS:
+        args = cli.build_parser().parse_args(["demo-counterexample", *argv])
+        yield ["demo-counterexample", list(argv), *cli_stdout(["demo-counterexample", *argv])]
+        s = EigenSplit(gen_expander_path_expander(args.n_block, args.d, args.path_len,
+                                                  args.seed), 2)
+        sub, w_sub = s.side(0)
+        verdicts = None
+        if s.c > s.tolerance:
+            verdicts = [is_expander(sub.graph, v, s.c, "exact")
+                        for v in (w_sub, np.ones(sub.graph.n))]
+        yield ["demo-support", hexed(verdicts)]
 
 
 def main() -> None:
@@ -182,6 +227,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for line in large_lines(Path(tmp)):
             out.write(json.dumps(line) + "\n")
+    for line in split_lines():
+        out.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":
