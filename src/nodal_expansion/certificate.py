@@ -548,7 +548,8 @@ def verify_corollary1(g: Graph) -> CorollaryReport:
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
     s = EigenSplit(g, 2)
-    flags = ["degenerate_gap"] if s.c <= s.tolerance else []
+    degenerate = s.c <= s.tolerance
+    flags = ["degenerate_gap"] if degenerate else []
     # strict threshold minus tolerance: phi == c must not read as a violation
     c_test = s.c - s.tolerance
     verdicts: list[xp.ExpanderVerdict | None] = []
@@ -557,7 +558,7 @@ def verify_corollary1(g: Graph) -> CorollaryReport:
             verdicts.append(None)
             flags.append("empty_support")
             continue
-        if c_test <= 0:
+        if degenerate:
             verdicts.append(None)
             continue
         sub, w_sub = s.side(j)

@@ -181,19 +181,21 @@ def cmd_gen(args) -> int:
 def cmd_demo_counterexample(args) -> int:
     g = gen.gen_expander_path_expander(args.n_block, args.d, args.path_len, args.seed)
     s = ct.EigenSplit(g, 2)
-    d, c = s.spectrum, s.c
+    lambda_2, lambda_3 = (float(v) for v in s.spectrum.values[1:3])
+    c = s.c
+    # verify_corollary1's rule: with c at most the tolerance the gap is
+    # degenerate, and no verdict is taken, the gap ordering's neither
+    degenerate = c <= s.tolerance
     out = {
         "n": g.n,
         "m": g.m,
-        "lambda_2": float(d.values[1]),
-        "lambda_3": float(d.values[2]),
+        "lambda_2": lambda_2,
+        "lambda_3": lambda_3,
         "c": float(c),
-        "gap_ordering_holds": bool(d.values[1] < d.values[2] - d.values[1]),
+        "gap_ordering_holds": None if degenerate else lambda_2 < lambda_3 - lambda_2,
         "positive_support": list(s.support.positive),
     }
-    if c <= s.tolerance:
-        # verify_corollary1's rule: with c at most the tolerance the gap is
-        # degenerate, and no verdict is taken
+    if degenerate:
         no_verdict = {"min_phi": None, "is_expander": None}
         emit_json({**out, "weighted": no_verdict,
                    "unweighted": {**no_verdict, "witness": None},

@@ -5,9 +5,12 @@ The expansion of a node subset S under nonnegative node weights w is
     phi(S) = sum over edges {i,j} crossing S of sqrt(w_i w_j)
              / min(w(S), w(V \\ S)),
 
-defined whenever 0 < w(S) < w(V).  The crossing sum runs over edges only;
-nodes of zero weight contribute nothing to either side of the ratio, so
-exact searches enumerate over the positive-weight nodes.
+defined whenever 0 < w(S) < w(V), that is, whenever S and V \\ S each
+hold a positive-weight node.  The crossing sum runs over edges only; nodes
+of zero weight contribute nothing to either side of the ratio, so exact
+searches enumerate over the positive-weight nodes, and a sweep over an
+order with the p positive-weight nodes first takes the prefixes of length
+1 .. p - 1.
 
 A search's input is checked once, where it enters: each public function
 (`phi`, `sweep_cut`, `is_expander`, `find_partition`, `max_partitionable`)
@@ -18,21 +21,22 @@ that record, check nothing again, and call no public function; only
 `sweep_cut` checks a caller's order, and the internal sweeps run on orders
 they built.
 
-Every direct evaluation of phi (`phi` itself, certification, the
-heuristic's greedy moves, the exact engine's confirmations) follows one
-summation order on a boolean membership mask: w(S) and w(V \\ S) are each
-summed in node-index order, the crossing terms in edge order, all three
-strictly left to right.  `_mask_cut` does this for one set; `_cut_values`
-does it for a stack of sets, with +0.0 in place of the terms left out, which
-gives the same bits.  The last bits of phi therefore do not depend on which
-caller asks, phi(S) == phi(V \\ S) holds exactly, and the strict
-comparisons against c and between candidate moves are reproducible.  A
-`PartitionCertificate` carries each class's cut (`CutValue`) as certified,
-and the proof checks read those cuts instead of summing them again.
-Wherever many sets are in play, a cheaper arithmetic screens them first
-with a proven rounding bound, and the kernel confirms: the exact engine's
-table (below) and the heuristic's greedy moves, whose trials are all
-screened at once from per-node sums by neighbour class.
+Every evaluation of phi (`phi` itself, certification, the sweep's
+prefixes, the heuristic's greedy moves, the exact engine's confirmations)
+follows one summation order on a boolean membership mask: w(S) and
+w(V \\ S) are each summed in node-index order, the crossing terms in edge
+order, all three strictly left to right.  `_mask_cut` does this for one
+set; `_cut_values` does it for a stack of sets, with +0.0 in place of the
+terms left out, which gives the same bits.  The last bits of phi therefore
+do not depend on which caller asks, phi(S) == phi(V \\ S) holds exactly,
+and the strict comparisons against c, between sweep prefixes and between
+candidate moves are reproducible.  A `PartitionCertificate` carries each
+class's cut (`CutValue`) as certified, and the proof checks read those cuts
+instead of summing them again.  Wherever many sets are in play, a cheaper
+arithmetic screens them first with a proven rounding bound, and the kernel
+confirms: the exact engine's table (below) and the heuristic's greedy
+moves, whose trials are all screened at once from per-node sums by
+neighbour class.  A sweep's p - 1 prefixes all go to the kernel.
 
 Heuristic mode splits a support along Fiedler sweeps and then moves single
 nodes between classes.  The splits form one chain per support, the classes
@@ -238,10 +242,11 @@ def _cut_values(
     mask is appended and its column dropped.  On 200,000 masks of 19 terms
     the sum takes about 2 ms, against 10 ms for np.add.accumulate.
 
-    This serves the exact engine's batches (`_subset_phis`).  On one set,
-    or a few, it is about twice as slow as `_mask_cut`, so certification
-    and the greedy moves sum one set at a time, and their certificates
-    carry those cuts to the proof checks."""
+    This serves the exact engine's batches (`_subset_phis`) and the
+    sweep's prefixes (`_sweep`).  On one set, or a few, it is about twice
+    as slow as `_mask_cut`, so certification and the greedy moves sum one
+    set at a time, and their certificates carry those cuts to the proof
+    checks."""
     cols = np.zeros((len(w), len(rows) + 1), dtype=bool)
     cols[:, :-1] = rows.T
     num = np.where(cols[us] != cols[vs], sqrt_e[:, None], 0.0)
@@ -439,7 +444,9 @@ def is_expander(g: Graph, w: np.ndarray, c: float, mode: str = "exact") -> Expan
     re-evaluates by the kernel every set that could still be the minimum.
     `min_phi` is the kernel's minimum, so it equals phi(g, w, witness).phi
     bit for bit; the witness is the lowest mask among the kernel minima.
-    It is a proof either way.  Heuristic mode runs sweep cuts and is a proof
+    It is a proof either way.  Heuristic mode takes the lowest of three
+    sweeps, each scored by the kernel, so its `min_phi` is the kernel phi
+    of the best prefix, the witness when that falls below c; it is a proof
     only when it finds a witness.
     """
     x = _Input.checked(g, w, c, mode)
@@ -458,11 +465,9 @@ def is_expander(g: Graph, w: np.ndarray, c: float, mode: str = "exact") -> Expan
         if min_phi < c:
             return ExpanderVerdict(False, c, witness, "exact", min_phi)
         return ExpanderVerdict(True, c, None, "exact", min_phi)
-    # the first of the lowest sweep cuts
+    # the first of the lowest sweep cuts, each summed by the kernel
     S, cut = min((_sweep(x, order) for order in _candidate_orders(x)), key=lambda r: r[1].phi)
-    # re-verify the witness by direct evaluation; an explicit test, since
-    # `python -O` strips asserts
-    if cut.phi < c and _mask_cut(x, x.mask(S), proper=True).phi < c:
+    if cut.phi < c:
         return ExpanderVerdict(False, c, S, "heuristic", cut.phi)
     return ExpanderVerdict(True, c, None, "heuristic", cut.phi)
 
@@ -488,10 +493,13 @@ def _candidate_orders(x: _Input) -> list[list[int]]:
 def sweep_cut(
     g: Graph, w: np.ndarray, order: Sequence[int]
 ) -> tuple[tuple[int, ...], CutValue]:
-    """Best prefix of `order` by phi; ties go to the shorter prefix.
+    """Best proper prefix of `order` by kernel phi; ties go to the shorter
+    prefix.
 
     `order` must be a permutation of the nodes with positive-weight nodes
-    first.  Raises if the weights are all zero.
+    first, so the proper prefixes are those of length 1 .. p - 1, p the
+    number of positive weights.  Raises if the weights are all zero, or if
+    only one is positive and no prefix is proper.
     """
     x = _Input.checked(g, w)
     if not x.pos:
@@ -501,31 +509,31 @@ def sweep_cut(
         raise ExpansionError("order is not a permutation of the nodes")
     if not (x.w[order[: len(x.pos)]] > 0).all():
         raise ExpansionError("positive-weight nodes must precede zero-weight ones")
+    if len(x.pos) < 2:
+        raise UndefinedCut("no prefix with proper weight")
     return _sweep(x, order)
 
 
 def _sweep(x: _Input, order: list[int]) -> tuple[tuple[int, ...], CutValue]:
-    """`sweep_cut` on a record with a positive weight, for an order that is
-    a permutation of its nodes with the positive-weight nodes first.  The
-    winning prefix is evaluated again by the kernel, which gives its cut."""
-    w, us, vs, sqrt_e = x.w, x.us, x.vs, x.sqrt_e
-    total = float(w.sum())
-    best: tuple[float, int] | None = None
-    w_s = 0.0
-    in_s = np.zeros(x.g.n, dtype=bool)
-    for t, node in enumerate(order[:-1], start=1):
-        in_s[node] = True
-        w_s += float(w[node])
-        if not 0 < w_s < total:
-            continue
-        num = float(sqrt_e[in_s[us] ^ in_s[vs]].sum())
-        val = num / min(w_s, total - w_s)
-        if best is None or val < best[0]:
-            best = (val, t)
-    if best is None:
-        raise UndefinedCut("no prefix with proper weight")
-    S = tuple(sorted(order[: best[1]]))
-    return S, _mask_cut(x, x.mask(S), proper=True)
+    """`sweep_cut` on a record with two or more positive weights, for an
+    order that is a permutation of its nodes with the positive-weight nodes
+    first.  The prefixes of length 1 .. p - 1 each leave a positive-weight
+    node on both sides, and `_cut_values` gives their kernel cuts, in blocks
+    of rows; the first of the lowest phis wins, and its cut is the one that
+    call summed."""
+    rank = np.empty(x.g.n, dtype=int)
+    rank[order] = np.arange(x.g.n)
+    lengths = np.arange(1, len(x.pos))[:, None]
+    step = max(1, _BLOCK // (x.g.n + x.g.m + 1))
+    blocks = []
+    for start in range(0, len(lengths), step):
+        blocks.append(_cut_values(x.w, x.us, x.vs, x.sqrt_e, rank < lengths[start: start + step]))
+    num, w_s, w_rest = (np.concatenate(sums) for sums in zip(*blocks))
+    den = np.minimum(w_s, w_rest)
+    # the first, so the shortest prefix, among minima; a NaN phi, from sums
+    # that overflow to inf on both sides, ranks as inf
+    t = int(np.argmin(np.fmin(num / den, np.inf)))
+    return tuple(sorted(order[: t + 1])), CutValue(float(num[t]), float(den[t]))
 
 
 def _largest_partition(qualifying: list[bool]) -> list[int]:
@@ -730,31 +738,25 @@ def find_partition(
 
 def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
     """The classes of the positive-weight nodes after 0, 1, 2, ... splits,
-    until no class can be split.  Each split cuts the heaviest class that a
-    Fiedler sweep can split.  A split depends only on the class it cuts, so
-    the classes after j splits are the same whichever k asks for them."""
+    until every class is a single node.  Each split cuts the heaviest class
+    of two or more nodes, the first among equals, along its Fiedler sweep.
+    A split depends only on the class it cuts, so the classes after j
+    splits are the same whichever k asks for them."""
     classes: list[list[int]] = [list(x.pos)]
     while True:
         yield list(classes)
-        order_idx = sorted(
-            range(len(classes)),
-            key=lambda ci: -float(sum(x.w[i] for i in classes[ci])),
+        ci = max(
+            (ci for ci, cls in enumerate(classes) if len(cls) >= 2),
+            key=lambda ci: float(sum(x.w[i] for i in classes[ci])),
+            default=None,
         )
-        for ci in order_idx:
-            cls = classes[ci]
-            if len(cls) < 2:
-                continue
-            sub, y = x.induced(cls)
-            try:
-                S, _ = _sweep(y, _fiedler_order(y))
-            except UndefinedCut:
-                continue
-            part_a = list(sub.to_parent_set(S))
-            classes[ci] = part_a
-            classes.append(sorted(set(cls) - set(part_a)))
-            break
-        else:
+        if ci is None:
             return
+        cls = classes[ci]
+        sub, y = x.induced(cls)
+        S, _ = _sweep(y, _fiedler_order(y))
+        classes[ci] = list(sub.to_parent_set(S))
+        classes.append(sorted(set(cls) - set(classes[ci])))
 
 
 def _heuristic_partition(

@@ -48,15 +48,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == i:
-                out.append(v)
-            elif v == i:
-                out.append(u)
-        return sorted(out)
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint index arrays (us, vs) in edge order, shared by
         every caller; empty int arrays for no edges."""

@@ -129,7 +129,8 @@ def attach_zero_weight_nodes(g, classes: list[list[int]]) -> list[list[int]]:
     while pending and changed:
         changed = False
         for i in list(pending):
-            nbrs = [j for j in g.neighbors(i) if j in assign]
+            nbrs = sorted(v if u == i else u for u, v in g.edges if i in (u, v))
+            nbrs = [j for j in nbrs if j in assign]
             if nbrs:
                 assign[i] = assign[min(nbrs)]
                 pending.remove(i)

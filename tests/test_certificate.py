@@ -289,12 +289,13 @@ def test_each_support_induced_once_per_theorem_call(monkeypatch):
 
 def test_each_cut_summed_once_per_theorem_call(monkeypatch):
     """The checks read each class's cut from the search's certificate: the
-    stacked cut kernel serves only the exact engine's batches."""
+    stacked cut kernel serves only the exact engine's batches and the
+    heuristic's sweep prefixes."""
     kernel, calls = xp._cut_values, []
 
     def counted(*args):
         caller = sys._getframe(1).f_code.co_name
-        if caller != "_subset_phis":
+        if caller not in ("_subset_phis", "_sweep"):
             calls.append(caller)
         return kernel(*args)
 

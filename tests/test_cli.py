@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal_expansion import cli
 from nodal_expansion import fileio
 from nodal_expansion import spectral
-from nodal_expansion.generators import gen_gnp, gen_path, gen_random_regular
-from nodal_expansion.graph import is_connected, laplacian
-from nodal_expansion.spectral import eigendecompose
+from nodal_expansion.expansion import is_expander
+from nodal_expansion.generators import gen_cycle, gen_gnp, gen_path, gen_random_regular
+from nodal_expansion.graph import is_connected, laplacian, weights_from_eigenvector
+from nodal_expansion.spectral import eigendecompose, laplacian_decomposition, select_eigenpair
 
 from proof_graphs import FAMILIES, SIZES, proof_graph, proof_partition
 
@@ -73,6 +80,61 @@ def test_expander_check_eigvec(capsys, p3_file):
     )
     assert code == 0
     assert json.loads(out)["mode"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(gen_cycle(160), 3), (gen_gnp(120, 0.05, 1), 2)],
+    ids=["cycle160-k3", "gnp120-seed1-k2"],
+)
+def test_expander_check_eigvec_near_zero_weights(capsys, tmp_path, g, k):
+    """y_k has entries near its zero crossings, whose squares lie below one
+    ulp of the total weight; every sweep prefix that leaves a positive
+    weight on both sides is still a proper cut, and the search has one."""
+    path = tmp_path / "g.txt"
+    fileio.write_edge_list(g, path)
+    code, out = run_capture(
+        capsys,
+        ["expander-check", str(path), "--eigvec", str(k), "--c", "0.05", "--mode", "heuristic"],
+    )
+    assert code == 0
+    res = json.loads(out)
+    assert res["is_expander"] is False and res["min_phi"] < 1e-16
+
+
+@st.composite
+def eigvec_instances(draw):
+    """A cycle, path, G(n, 6/n) or 3-regular graph of 20 to 200 nodes, and
+    an index k of 2 to 4.  n is drawn uniformly, from a seed, so that the
+    examples spread over the whole range."""
+    family = draw(st.sampled_from(["cycle", "path", "gnp", "regular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 * int(rng.integers(10, 101))
+    seed = int(rng.integers(10))
+    g = {
+        "cycle": lambda: gen_cycle(n),
+        "path": lambda: gen_path(n),
+        "gnp": lambda: gen_gnp(n, 6 / n, seed),
+        "regular": lambda: gen_random_regular(n, 3, seed),
+    }[family]()
+    return g, draw(st.integers(2, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(eigvec_instances())
+def test_eigvec_weights_never_a_usage_error(gk):
+    """Valid eigenvector weights: the heuristic search never raises, and
+    `expander-check --eigvec` never exits with the usage-error code."""
+    g, k = gk
+    w = weights_from_eigenvector(select_eigenpair(laplacian_decomposition(g), k).y)
+    is_expander(g, w, 0.05, mode="heuristic")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        fileio.write_edge_list(g, path)
+        argv = ["expander-check", str(path), "--eigvec", str(k), "--c", "0.05",
+                "--mode", "heuristic"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0
 
 
 def test_no_command_takes_a_budget(capsys, p3_file):
@@ -352,6 +414,17 @@ def test_demo_counterexample_degenerate_gap(capsys):
     assert res["c"] == 0.0 and res["flags"] == ["degenerate_gap"]
     assert res["weighted"] == {"min_phi": None, "is_expander": None}
     assert res["unweighted"] == {"min_phi": None, "is_expander": None, "witness": None}
+
+
+def test_demo_counterexample_degenerate_gap_takes_no_ordering(capsys):
+    """lambda_2 = 0 and lambda_3 = 2.3e-16 are both rounding noise: the gap
+    ordering is a verdict too, and a degenerate gap takes none."""
+    code, out = run_capture(capsys, ["demo-counterexample", "--n-block", "2", "--d", "0"])
+    assert code == 0
+    res = json.loads(out)
+    assert res["flags"] == ["degenerate_gap"]
+    assert res["lambda_2"] < res["lambda_3"] - res["lambda_2"]
+    assert res["gap_ordering_holds"] is None
 
 
 def test_batch_verify_small(capsys):

@@ -142,6 +142,22 @@ def weighted_graphs_with_subset(draw):
     return build_graph(n, edges), w, S
 
 
+@st.composite
+def sweep_inputs(draw):
+    """Graphs of at most 30 nodes with zero, near-zero and ordinary weights,
+    and an order of the nodes with the positive-weight ones first."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    weight = st.one_of(st.just(0.0), st.floats(1e-300, 1e-25), st.floats(1e-6, 1e3))
+    w = np.array([draw(weight) for _ in range(n)])
+    order = sorted(draw(st.permutations(range(n))), key=lambda i: w[i] <= 0)
+    if w.any():
+        return build_graph(n, edges), w, order
+    return build_graph(n, edges), np.ones(n), order
+
+
 class TestCutKernel:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs_with_subset())
@@ -448,6 +464,43 @@ class TestSweepCut:
     def test_rejects_order_not_a_permutation(self, order):
         with pytest.raises(ExpansionError, match="not a permutation"):
             sweep_cut(p3(), ONES3, order)
+
+    def test_one_positive_weight_has_no_proper_prefix(self):
+        with pytest.raises(UndefinedCut, match="no prefix with proper weight"):
+            sweep_cut(p3(), np.array([0.0, 1e-300, 0.0]), [1, 0, 2])
+
+    def test_weights_below_an_ulp_of_the_total(self):
+        # w(S) = 1 holds the total to the last bit, but V \ S holds a
+        # positive weight, so the prefix is proper
+        S, cut = sweep_cut(k2(), np.array([1.0, 1e-32]), [0, 1])
+        assert S == (0,) and (cut.numerator, cut.denominator) == (1e-16, 1e-32)
+
+    def test_overflowing_sums_rank_as_inf(self):
+        # w(S) and w(V \\ S) of {0, 1} both overflow, and its phi is inf/inf
+        g, w = p4(), np.full(4, 1e308)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.isnan(phi(g, w, [0, 1]).phi)
+            S, cut = sweep_cut(g, w, [0, 1, 2, 3])
+        assert S == (0,) and cut.phi == np.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_inputs())
+    def test_first_minimum_of_kernel_phi_over_proper_prefixes(self, gwo):
+        g, w, order = gwo
+        p = int((w > 0).sum())
+        if p < 2:
+            with pytest.raises(UndefinedCut, match="no prefix with proper weight"):
+                sweep_cut(g, w, order)
+            return
+        cuts = [sequential_cut(g, w, order[:t]) for t in range(1, p)]
+        phis = [num / min(w_s, w_rest) for num, w_s, w_rest in cuts]
+        t = phis.index(min(phis))  # the first, so the shortest, among minima
+        num, w_s, w_rest = cuts[t]
+        S, cut = sweep_cut(g, w, order)
+        assert S == tuple(sorted(order[: t + 1]))
+        assert (cut.numerator.hex(), cut.denominator.hex()) == (
+            num.hex(), min(w_s, w_rest).hex()
+        )
 
 
 class TestFindPartition:

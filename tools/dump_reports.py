@@ -39,6 +39,12 @@ command prints, on the positive support at the half-gap c, weighted and
 unweighted (null when the gap is degenerate).  The defaults give a 20-node
 support.
 
+A last fixed section reaches sweeps over near-zero weights: for each graph
+and k in SWEEPS, an `expander-check` line with the in-process
+`expander-check --eigvec k --c 0.05 --mode heuristic`'s exit code and
+stdout.  Entries of y_k near a zero crossing give weights below one ulp of
+the total: on the 160-cycle at k = 3 and on G(120, 0.05) seed 1 at k = 2.
+
 Every float is written as `float.hex`, so two dumps are equal exactly when
 every report is equal bit for bit, signed zeros included.  Run it from the
 root of a checkout (the package is imported from ./src) on two revisions and
@@ -79,6 +85,7 @@ from nodal_expansion.expansion import (  # noqa: E402
 )
 from nodal_expansion.generators import (  # noqa: E402
     enumerate_connected_graphs,
+    gen_cycle,
     gen_expander_path_expander,
     gen_gnp,
     gen_path,
@@ -94,6 +101,8 @@ PARTS = ((2, 1, 1), (3, 2, 2), (2, 2, 1))
 COROLLARY_SEEDS = (7, 17, 18, 30)
 # demo-counterexample arguments: the defaults, and a degenerate gap
 DEMOS = ((), ("--n-block", "4", "--d", "0"))
+# (graph, k) of the sweeps over near-zero eigenvector weights
+SWEEPS = ((gen_cycle(160), 3), (gen_gnp(120, 0.05, 1), 2))
 
 
 def hexed(obj):
@@ -177,9 +186,22 @@ def large_lines(tmp: Path):
         for k, a, b in PARTS:
             yield proof_line(g, k, *pg.proof_partition(ys[k], a, b))
         for k in (2, 3, 4):
-            argv = ["expander-check", graph, "--eigvec", str(k), "--c", "0.05",
-                    "--mode", "heuristic"]
-            yield ["expander-check", k, *cli_stdout(argv)]
+            yield expander_check_line(graph, k)
+
+
+def expander_check_line(graph, k):
+    """The exit code and stdout of the in-process heuristic
+    `expander-check --eigvec k --c 0.05` on the edge-list file `graph`."""
+    argv = ["expander-check", graph, "--eigvec", str(k), "--c", "0.05", "--mode", "heuristic"]
+    return ["expander-check", k, *cli_stdout(argv)]
+
+
+def sweep_lines(tmp: Path):
+    """The lines of the near-zero sweep section, in order."""
+    graph = str(tmp / "g.txt")
+    for g, k in SWEEPS:
+        fileio.write_edge_list(g, graph)
+        yield expander_check_line(graph, k)
 
 
 def split_lines():
@@ -227,8 +249,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for line in large_lines(Path(tmp)):
             out.write(json.dumps(line) + "\n")
-    for line in split_lines():
-        out.write(json.dumps(line) + "\n")
+        for line in split_lines():
+            out.write(json.dumps(line) + "\n")
+        for line in sweep_lines(Path(tmp)):
+            out.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":
