@@ -16,10 +16,14 @@ A search's input is checked once, where it enters: each public function
 (`phi`, `sweep_cut`, `is_expander`, `find_partition`, `max_partitionable`)
 checks its weights, a search its mode and threshold too, and builds one
 `_Input` record of the checked weights, the edge endpoints, the crossing
-terms sqrt(w_u w_v) and the positive-weight nodes.  The private steps take
-that record, check nothing again, and call no public function; only
-`sweep_cut` checks a caller's order, and the internal sweeps run on orders
-they built.
+terms sqrt(w_u w_v) and the positive-weight nodes.  Weights must be finite
+and nonnegative, and w(V) and every edge's product w_u w_v must stay below
+the largest float (about 1.8e308); beyond it a sum would overflow to inf
+and phi read inf or NaN, so such weights raise.  Small weights have no
+lower limit: a product that underflows rounds towards zero, as floats do.
+The private steps take that record, check nothing again, and call no
+public function; only `sweep_cut` checks a caller's order, and the
+internal sweeps run on orders they built.
 
 Every evaluation of phi (`phi` itself, certification, the sweep's
 prefixes, the heuristic's greedy moves, the exact engine's confirmations)
@@ -84,6 +88,9 @@ EXACT_SET_PARTITION_CAP = 12
 GREEDY_MOVE_CAP = 1000
 MODES = ("exact", "heuristic")
 
+# weights up to this bound pass `_Input.checked` in one pass: no product
+# w_u w_v of two of them reaches the largest float, and no sum of them does
+_NO_OVERFLOW = 1e154
 # an absolute term for the divisions, whose results may fall into gradual
 # underflow
 _UNDERFLOW = 4 * np.finfo(float).smallest_subnormal
@@ -172,10 +179,11 @@ class _Input:
         w = np.asarray(w, dtype=float)
         if w.shape != (g.n,):
             raise ExpansionError(f"weights shape {w.shape} does not match n={g.n}")
-        # one pass, as cheap as a sign test alone; NaN fails both comparisons
-        if not ((w >= 0) & (w < np.inf)).all():
-            raise ExpansionError("weights must be finite and nonnegative")
         us, vs = g.edge_arrays()
+        # one pass, as cheap as a sign test alone, clears the usual weights;
+        # NaN fails both comparisons and goes to the full check
+        if not ((w >= 0) & (w <= _NO_OVERFLOW)).all():
+            _check_large_weights(w, us, vs)
         return cls(g, w, us, vs, np.sqrt(w[us] * w[vs]), np.flatnonzero(w > 0).tolist())
 
     def restrict(
@@ -204,6 +212,21 @@ class _Input:
         in_s = np.zeros(self.g.n, dtype=bool)
         in_s[list(nodes)] = True
         return in_s
+
+
+def _check_large_weights(w: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
+    """Raise unless the weights are finite and nonnegative, and w(V), summed
+    as the kernel sums it, and every edge's w_u w_v stay below the largest
+    float."""
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ExpansionError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        overflow = _seq_sum(w) == np.inf or (w[us] * w[vs] == np.inf).any()
+    if overflow:
+        raise ExpansionError(
+            f"w(V) and every edge's w_u w_v must stay below {np.finfo(float).max:.6g}, "
+            "the largest float"
+        )
 
 
 def _seq_sum(x: np.ndarray) -> float:
@@ -530,9 +553,8 @@ def _sweep(x: _Input, order: list[int]) -> tuple[tuple[int, ...], CutValue]:
         blocks.append(_cut_values(x.w, x.us, x.vs, x.sqrt_e, rank < lengths[start: start + step]))
     num, w_s, w_rest = (np.concatenate(sums) for sums in zip(*blocks))
     den = np.minimum(w_s, w_rest)
-    # the first, so the shortest prefix, among minima; a NaN phi, from sums
-    # that overflow to inf on both sides, ranks as inf
-    t = int(np.argmin(np.fmin(num / den, np.inf)))
+    # the first, so the shortest prefix, among minima
+    t = int(np.argmin(num / den))
     return tuple(sorted(order[: t + 1])), CutValue(float(num[t]), float(den[t]))
 
 

@@ -12,15 +12,25 @@ lambda_k has no unique eigenvector, and callers see the basis eigh picks,
 so a repeated lambda_k gets the full decomposition.
 
 `laplacian_decomposition` decomposes a graph's Laplacian, which it builds
-itself.  For a graph of order LOW_END_MIN_ORDER or more it can take the
-low-end form, which returns only lambda_1..lambda_K and y_k.  Lanczos with
-full reorthogonalization (Parlett, ch. 13) runs on the graph's own edge
-arrays at O(m) per step plus the reorthogonalization.  Its Ritz values
-count only once they are certified: residual intervals that are disjoint,
-and one floating-point Cholesky factorization that proves no eigenvalue
-below them was missed (Rump, "Verification of positive definiteness",
-BIT 46, 2006).  Anything uncertified falls back to the dense solves.
-Memory is dense on every path: O(n^2) for the matrix and its factors.
+itself, and keeps what the graph's first solve computed on the Graph, so
+that every k and every check reads one spectrum.  Below INDEX_MIN_ORDER the
+Graph keeps the full decomposition, which every call at that order returns
+whatever k is.  From INDEX_MIN_ORDER on it keeps the eigvalsh values only,
+O(n) memory: each k still tests whether lambda_k is repeated and runs its
+own inverse iteration, and nothing n x n is kept, neither L, nor a full
+decomposition, nor the low-end form below.  The kept arrays, and every
+array that `laplacian_decomposition` returns, are read-only.
+
+For a graph of order LOW_END_MIN_ORDER or more, `laplacian_decomposition`
+can take the low-end form, which returns only lambda_1..lambda_K and y_k.
+Lanczos with full reorthogonalization (Parlett, ch. 13) runs on the graph's
+own edge arrays at O(m) per step plus the reorthogonalization.  Its Ritz
+values count only once they are certified: residual intervals that are
+disjoint, and one floating-point Cholesky factorization that proves no
+eigenvalue below them was missed (Rump, "Verification of positive
+definiteness", BIT 46, 2006).  Anything uncertified falls back to the dense
+solves.  Memory is dense on every path: O(n^2) for the matrix and its
+factors, held for the call alone from INDEX_MIN_ORDER on.
 """
 
 from __future__ import annotations
@@ -137,14 +147,9 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
     if k is not None and not 1 <= k <= len(A):
         raise IndexError(f"eigenpair index {k} outside [1,{len(A)}]")
     if k is not None and len(A) >= INDEX_MIN_ORDER:
-        values = np.linalg.eigvalsh(A)
-        if not is_repeated(values, k):
-            pair = _inverse_iteration(A, float(values[k - 1]), scale)
-            if pair is not None:
-                y, resid = pair
-                return SpectralDecomposition(
-                    values=values, vectors=y[:, None], residual=resid, matrix=A, index=k
-                )
+        d = _index_route(A, k, np.linalg.eigvalsh(A), scale)
+        if d is not None:
+            return d
     values, vectors = np.linalg.eigh(A)
     if A.size:
         resid = float(np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0)))
@@ -158,7 +163,15 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
 def laplacian_decomposition(
     g: Graph, k: int | None = None, *, through: int | None = None
 ) -> SpectralDecomposition:
-    """eigendecompose(laplacian(g), k), or its low-end form.
+    """eigendecompose(laplacian(g), k), or its low-end form, with every
+    array read-only.
+
+    g keeps what its first solve computed (`_kept`), and later calls on g
+    reuse it with the same bits: below INDEX_MIN_ORDER the full
+    decomposition, every call's result at that order, and from there on
+    only the eigvalsh values, O(n), so a second k pays its inverse
+    iteration alone.  L, the full route and the low-end form are computed
+    afresh at that order, each with its own values.
 
     The low-end form: with k < through < n and n >= LOW_END_MIN_ORDER, it
     returns lambda_1..lambda_through and y_k from certified Lanczos pairs
@@ -166,10 +179,59 @@ def laplacian_decomposition(
     repeated, the full decomposition follows at once; any other result that
     cannot be certified falls back to eigendecompose(L, k), with the same
     bits."""
+    if k is not None and not 1 <= k <= g.n:
+        raise IndexError(f"eigenpair index {k} outside [1,{g.n}]")
+    if g.n < INDEX_MIN_ORDER:
+        return _kept(g, lambda: _read_only(eigendecompose(laplacian(g))))
     L = laplacian(g)
-    room = k is not None and through is not None and 1 <= k < through < g.n
-    low = _low_end(g, L, k, through) if room and g.n >= LOW_END_MIN_ORDER else None
-    return eigendecompose(L, k) if low is None else low
+    d = None
+    if k is not None:
+        if through is not None and k < through < g.n and g.n >= LOW_END_MIN_ORDER:
+            d = _low_end(g, L, k, through)
+        if d is None:
+            values = _kept(g, lambda: _read_only(np.linalg.eigvalsh(L)))
+            d = _index_route(L, k, values, 1.0 + float(np.max(np.abs(L))))
+    return _read_only(eigendecompose(L) if d is None else d)
+
+
+def _kept(g: Graph, solve):
+    """What solve() returns, computed on g's first call and kept on g, in
+    its instance __dict__, which the frozen dataclass allows and its eq and
+    hash ignore (as for Graph._edge_arrays).  A Graph's order never
+    changes, so it only ever keeps one kind of result."""
+    kept = vars(g)
+    if "_spectrum" not in kept:
+        kept["_spectrum"] = solve()
+    return kept["_spectrum"]
+
+
+def _read_only(x):
+    """x, an array or a decomposition, with its arrays made read-only."""
+    if isinstance(x, SpectralDecomposition):
+        for a in (x.values, x.vectors, x.matrix, x.radii):
+            if a is not None:
+                a.flags.writeable = False
+    else:
+        x.flags.writeable = False
+    return x
+
+
+def _index_route(
+    A: np.ndarray, k: int, values: np.ndarray, scale: float
+) -> SpectralDecomposition | None:
+    """eigendecompose(A, k) from A's eigvalsh `values` and scale
+    1 + max|A|: every eigenvalue and y_k by inverse iteration; None when
+    lambda_k is repeated or its inverse iteration misses the residual
+    bound, and the full decomposition must follow."""
+    if is_repeated(values, k):
+        return None
+    pair = _inverse_iteration(A, float(values[k - 1]), scale)
+    if pair is None:
+        return None
+    y, resid = pair
+    return SpectralDecomposition(
+        values=values, vectors=y[:, None], residual=resid, matrix=A, index=k
+    )
 
 
 def _inverse_iteration(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,31 @@ class TestPhi:
             phi(p3(), w, [0])
         with pytest.raises(ExpansionError, match="finite"):
             is_expander(p3(), w, 0.5, mode="exact")
+
+    def test_rejects_weights_whose_sums_overflow(self):
+        # at 1e200 each edge's w_u w_v overflows: phi({0, 1}) read inf, not
+        # 0.5, and exact max_partitionable at c = 0.6 found 1 class, not 2;
+        # at 1e308 w(V) overflows too, and phi read inf / inf
+        g = p4()
+        for big in (1e200, 1e308):
+            w = np.full(4, big)
+            calls = [
+                lambda: phi(g, w, [0, 1]),
+                lambda: sweep_cut(g, w, [0, 1, 2, 3]),
+                *(lambda m=m: is_expander(g, w, 0.6, mode=m) for m in ("exact", "heuristic")),
+                *(lambda m=m: max_partitionable(g, w, 0.6, mode=m) for m in ("exact", "heuristic")),
+            ]
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ExpansionError, match="largest float"):
+                        call()
+        # below the limit every sum is finite, and the answers are right
+        w = np.full(4, 1e154)
+        assert phi(g, w, [0, 1]).phi == 0.5
+        assert max_partitionable(g, w, 0.6)[0] == 2
+        w = np.array([1e300, 1e-10, 1.0, 1.0])
+        assert phi(g, w, [0]).phi == np.sqrt(1e300 * 1e-10) / (1e-10 + 1.0 + 1.0)
 
     def test_undefined_for_zero_or_full_weight(self):
         with pytest.raises(UndefinedCut):
@@ -474,14 +500,6 @@ class TestSweepCut:
         # positive weight, so the prefix is proper
         S, cut = sweep_cut(k2(), np.array([1.0, 1e-32]), [0, 1])
         assert S == (0,) and (cut.numerator, cut.denominator) == (1e-16, 1e-32)
-
-    def test_overflowing_sums_rank_as_inf(self):
-        # w(S) and w(V \\ S) of {0, 1} both overflow, and its phi is inf/inf
-        g, w = p4(), np.full(4, 1e308)
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert np.isnan(phi(g, w, [0, 1]).phi)
-            S, cut = sweep_cut(g, w, [0, 1, 2, 3])
-        assert S == (0,) and cut.phi == np.inf
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(sweep_inputs())

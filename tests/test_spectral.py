@@ -1,8 +1,19 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
 from nodal_expansion import spectral
+from nodal_expansion.certificate import (
+    ProofObjects,
+    TheoremReport,
+    build_proof_objects,
+    verify_corollary1,
+    verify_theorem1,
+)
 from nodal_expansion.generators import (
+    gen_cycle,
     gen_gnp,
     gen_path,
     gen_random_regular,
@@ -407,3 +418,102 @@ class TestLowEnd:
             spectral_gap_c(d, 3)
         sel = select_eigenpair(d, 2)
         assert not sel.multiplicity_flag and sel.lambda_k == d.value(2)
+
+
+def _bits(result) -> tuple:
+    """Every number and array of a report, proof objects or decomposition,
+    as strings and bytes, so that equal tuples mean equal bits."""
+    if isinstance(result, spectral.SpectralDecomposition):
+        arrays = (result.values, result.vectors, result.matrix, result.radii)
+        return (
+            result.residual.hex(), result.index, *(a.tobytes() for a in arrays if a is not None)
+        )
+    if isinstance(result, ProofObjects):
+        arrays = (result.M, result.y, result.w, result.z, result.B, result.mu, result.C)
+        cuts = [None if cut is None else (cut.numerator.hex(), cut.denominator.hex())
+                for cut in result.cuts]
+        return (*_bits(result.spectrum), cuts, *(a.tobytes() for a in arrays if a is not None))
+    out = (json.dumps(result.as_dict(), sort_keys=True),)
+    if isinstance(result, TheoremReport):
+        out += (result.values.tobytes(),)
+    return out
+
+
+class TestOneSpectrumPerGraph:
+    """A Graph keeps what its first solve computed: below INDEX_MIN_ORDER
+    the full decomposition, from there on the eigvalsh values alone.  No
+    result may tell a Graph that kept them from a fresh one."""
+
+    @pytest.mark.parametrize(
+        "make, ks, mode",
+        [
+            (lambda: next(sample_connected_graphs(7, 1, 0)), range(1, 7), "exact"),
+            (lambda: gen_random_regular(100, 4, 0), range(2, 6), "heuristic"),
+            # lambda_2 = lambda_3 and so on: every k takes the full route
+            (lambda: gen_cycle(80), range(2, 6), "heuristic"),
+            (lambda: proof_graph("gnp", 600)[0], KS, "heuristic"),
+        ],
+        ids=["order7", "regular100", "cycle80", "gnp600"],
+    )
+    def test_every_call_matches_a_fresh_graph(self, make, ks, mode):
+        made = make()
+        g = build_graph(made.n, made.edges)  # nothing kept yet
+        calls = [lambda h, k=k: verify_theorem1(h, k, mode=mode) for k in ks]
+        calls += [verify_corollary1, laplacian_decomposition]
+        for k in ks:
+            r = verify_theorem1(build_graph(g.n, g.edges), k, mode=mode)
+            if r.a + r.b and not r.degenerate_gap_flag:
+                calls.append(
+                    lambda h, k=k, r=r: build_proof_objects(h, k, r.pos_classes, r.neg_classes)
+                )
+        random.Random(0).shuffle(calls)
+        for call in calls:
+            assert _bits(call(g)) == _bits(call(build_graph(g.n, g.edges)))
+
+    def test_one_eigvalsh_per_graph_and_nothing_square_kept(self, monkeypatch):
+        g = gen_random_regular(100, 4, 0)
+        calls = []
+        real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
+
+        def eigvalsh(A, *args, **kwargs):
+            calls.append(("eigvalsh", np.shape(A)))
+            return real_eigvalsh(A, *args, **kwargs)
+
+        def eigh(A, *args, **kwargs):
+            calls.append(("eigh", np.shape(A)))
+            return real_eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for k in range(2, 6):
+            verify_theorem1(g, k, mode="heuristic")
+        assert [name for name, shape in calls if shape == (g.n, g.n)] == ["eigvalsh"]
+
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, (tuple, list)):
+                for item in x:
+                    yield from arrays(item)
+
+        kept = list(arrays(list(vars(g).values())))
+        assert any(a.shape == (g.n,) for a in kept)
+        assert all(a.ndim == 1 for a in kept)
+
+    @pytest.mark.parametrize("n", [7, 100])
+    def test_kept_arrays_cannot_be_written(self, n):
+        g = gen_random_regular(n, 4, 0)
+        report = verify_theorem1(g, 2, mode="heuristic")
+        values = report.values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            report.values[0] = 1.0
+        for k in (None, 2):
+            d = laplacian_decomposition(g, k)
+            before = _bits(d)
+            for a in (d.values, d.vectors, d.matrix):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[-1] *= 2.0
+            assert _bits(laplacian_decomposition(g, k)) == before
+        assert verify_theorem1(g, 2, mode="heuristic").values.tobytes() == values
