@@ -22,8 +22,9 @@ explicit tolerance and slack:
 
 The proof is a function of (g, k) and the two partitions alone.  Each call
 takes one eigen-split (`EigenSplit`) of g, which decomposes laplacian(g)
-once and holds the selected pair, w, c, the tolerance, the sign support,
-and each side's induced subgraph with its weights, built on first use.
+once and holds the selected pair, w, c, the tolerance, the gap rule (the
+degenerate-gap verdict and the search threshold), the sign support, and
+each side's induced subgraph with its weights, built on first use.
 Each class's cut in its side's subgraph is summed once and kept in
 `ProofObjects.cuts`: `verify_theorem1` takes the cuts its search's
 certificates carry, and `build_proof_objects` checks each side's weights
@@ -40,7 +41,6 @@ and every class expansion is below c; prop-sum if a + b = k + 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -71,10 +71,12 @@ def default_tolerance(L: np.ndarray) -> float:
 
 class EigenSplit:
     """The split of graph g by the k-th eigenvector of its own Laplacian,
-    decomposed once by `laplacian_decomposition(g, k, through=through)`:
-    the decomposition `spectrum`, the selected `pair`, the weights w = y^2,
-    the half-gap c (None when k = n), the check `tolerance` and the sign
-    `support`.  `side` builds each support's induced subgraph on first use
+    decomposed once by `laplacian_decomposition(g, k, through=through)`,
+    the one place that turns (g, k) into a split: the decomposition
+    `spectrum`, the selected `pair`, the weights w = y^2, the check
+    `tolerance`, the sign `support`, the half-gap c, whether the gap is
+    `degenerate` and the search `threshold` (these three None when
+    k = n).  `side` builds each support's induced subgraph on first use
     and hands the same one to every later caller."""
 
     def __init__(self, g: Graph, k: int, *, through: int | None = None):
@@ -82,9 +84,19 @@ class EigenSplit:
         self.graph, self.spectrum = g, d
         self.pair = select_eigenpair(d, k)
         self.w = weights_from_eigenvector(self.pair.y)
-        self.c = spectral_gap_c(d, k) if k < d.n else None
         self.tolerance = default_tolerance(d.matrix)
         self.support = sign_support(self.pair.y)
+        self.c = self.degenerate = self.threshold = None
+        if k < d.n:
+            self.c = spectral_gap_c(d, k)
+            # with c at most the tolerance the gap is rounding noise: nothing
+            # is (k', c)-partitionable for k' >= 2, as expansions are
+            # nonnegative, and no expansion verdict is taken
+            self.degenerate = self.c <= self.tolerance
+            # the theorem's class counts and the corollary's verdicts use the
+            # strict phi < c; lowering it by the tolerance keeps float noise
+            # at phi == c from inflating a or b or reading as a violation
+            self.threshold = self.c - self.tolerance
         self._sides: dict[int, tuple[InducedSubgraph, np.ndarray]] = {}
 
     def side(self, j: int) -> tuple[InducedSubgraph, np.ndarray]:
@@ -183,9 +195,6 @@ class TheoremReport:
                 "negative": [list(cls) for cls in self.neg_classes],
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 def _validate_classes(
@@ -469,7 +478,7 @@ def verify_theorem1(
     counts a, b of the two support subgraphs at threshold c and test
     a + b <= k, attaching a CheckRecord for every proof step.
 
-    A degenerate gap (c below tolerance) short-circuits: nothing is
+    A degenerate gap (`EigenSplit.degenerate`) short-circuits: nothing is
     (k',c)-partitionable for k' >= 2 since expansions are nonnegative."""
     if g.n == 0:
         raise CertificateError("empty graph")
@@ -478,31 +487,27 @@ def verify_theorem1(
     if mode not in xp.MODES:  # checked here too: a degenerate gap runs no search
         raise xp.ExpansionError(f"unknown mode {mode!r}")
     s = EigenSplit(g, k)
-    degenerate = s.c <= s.tolerance
-    # the theorem's partition counts use the strict inequality phi < c; a
-    # tolerance margin keeps float noise at phi == c from inflating a or b
-    c_search = s.c - s.tolerance
     sides, cuts = [], []
     for j, nodes in enumerate((s.support.positive, s.support.negative)):
-        if not nodes or degenerate:
+        if not nodes or s.degenerate:
             sides.append((1, (nodes,)) if nodes else (0, ()))
             continue
         sub, w_sub = s.side(j)
-        k_side, cert = xp.max_partitionable(sub.graph, w_sub, c_search, mode=mode)
+        k_side, cert = xp.max_partitionable(sub.graph, w_sub, s.threshold, mode=mode)
         classes = () if cert is None else cert.classes
         sides.append((k_side, tuple(sub.to_parent_set(cls) for cls in classes)))
         # the certificate's cuts, taken on this subgraph; a lone class has none
         cuts += cert.cuts if len(classes) >= 2 else [None] * len(classes)
     (a, pos_cls), (b, neg_cls) = sides
     checks: list[CheckRecord] = []
-    if a + b >= 1 and not degenerate:
+    if a + b >= 1 and not s.degenerate:
         pos, neg = (_validate_classes(s, j, cls) for j, cls in enumerate((pos_cls, neg_cls)))
         checks = run_checks(_proof_objects(s, pos, neg, cuts))
     return TheoremReport(
         graph=g, k=k, values=s.spectrum.values, c=s.c, a=a, b=b,
         a_plus_b_le_k=a + b <= k, mode=mode, checks=checks,
         pos_classes=pos_cls, neg_classes=neg_cls,
-        multiplicity_flag=s.pair.multiplicity_flag, degenerate_gap_flag=degenerate,
+        multiplicity_flag=s.pair.multiplicity_flag, degenerate_gap_flag=s.degenerate,
     )
 
 
@@ -548,24 +553,21 @@ def verify_corollary1(g: Graph) -> CorollaryReport:
     if g.n < 3:
         raise CertificateError("corollary needs at least 3 nodes")
     s = EigenSplit(g, 2)
-    degenerate = s.c <= s.tolerance
-    flags = ["degenerate_gap"] if degenerate else []
-    # strict threshold minus tolerance: phi == c must not read as a violation
-    c_test = s.c - s.tolerance
+    flags = ["degenerate_gap"] if s.degenerate else []
     verdicts: list[xp.ExpanderVerdict | None] = []
     for j, nodes in enumerate((s.support.positive, s.support.negative)):
         if not nodes:
             verdicts.append(None)
             flags.append("empty_support")
             continue
-        if degenerate:
+        if s.degenerate:
             verdicts.append(None)
             continue
         sub, w_sub = s.side(j)
         try:
-            v = xp.is_expander(sub.graph, w_sub, c_test, mode="exact")
+            v = xp.is_expander(sub.graph, w_sub, s.threshold, mode="exact")
         except xp.ExactCapExceeded:
-            v = xp.is_expander(sub.graph, w_sub, c_test, mode="heuristic")
+            v = xp.is_expander(sub.graph, w_sub, s.threshold, mode="heuristic")
             flags.append("heuristic_fallback")
         if v.witness is not None:
             v = replace(v, witness=sub.to_parent_set(v.witness))

@@ -21,8 +21,8 @@ from . import certificate as ct
 from . import expansion as xp
 from . import fileio
 from . import generators as gen
-from .graph import GraphError, weights_from_eigenvector
-from .spectral import laplacian_decomposition, select_eigenpair
+from .graph import GraphError
+from .spectral import laplacian_decomposition
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,12 +58,10 @@ def emit_json(obj) -> None:
 def _load_weights(args, g):
     if getattr(args, "weights", None):
         return fileio.read_weights(args.weights, g.n)
+    # EigenSplit raises IndexError, which `run` does not report as a usage error
     if not 1 <= args.eigvec <= g.n:
         raise ValueError(f"--eigvec {args.eigvec} outside [1,{g.n}]")
-    # the full route: inverse iteration's y_k differs from eigh's in its last
-    # bits, which is enough to move the heuristic's classes
-    y = select_eigenpair(laplacian_decomposition(g), args.eigvec).y
-    return weights_from_eigenvector(y)
+    return ct.EigenSplit(g, args.eigvec).w
 
 
 def cmd_spectrum(args) -> int:
@@ -183,19 +181,17 @@ def cmd_demo_counterexample(args) -> int:
     s = ct.EigenSplit(g, 2)
     lambda_2, lambda_3 = (float(v) for v in s.spectrum.values[1:3])
     c = s.c
-    # verify_corollary1's rule: with c at most the tolerance the gap is
-    # degenerate, and no verdict is taken, the gap ordering's neither
-    degenerate = c <= s.tolerance
     out = {
         "n": g.n,
         "m": g.m,
         "lambda_2": lambda_2,
         "lambda_3": lambda_3,
         "c": float(c),
-        "gap_ordering_holds": None if degenerate else lambda_2 < lambda_3 - lambda_2,
+        # a degenerate gap takes no verdict, the gap ordering's neither
+        "gap_ordering_holds": None if s.degenerate else lambda_2 < lambda_3 - lambda_2,
         "positive_support": list(s.support.positive),
     }
-    if degenerate:
+    if s.degenerate:
         no_verdict = {"min_phi": None, "is_expander": None}
         emit_json({**out, "weighted": no_verdict,
                    "unweighted": {**no_verdict, "witness": None},

@@ -104,7 +104,8 @@ def laplacian(g: Graph) -> np.ndarray:
 class SignSupport:
     """Partition of the node set by eigenvector sign, with a zero band.
 
-    Nodes with |y_i| <= tau land in `zero` and belong to neither support.
+    Nodes with |y_i| <= tau land in `zero` and belong to neither support;
+    `tau` records the band used, default_zero_tau(y).
     """
 
     positive: tuple[int, ...]
@@ -119,13 +120,11 @@ def default_zero_tau(y: np.ndarray) -> float:
     return 1e-9 * float(np.max(np.abs(y))) if y.size else 0.0
 
 
-def sign_support(y: np.ndarray, tau: float | None = None) -> SignSupport:
-    """Split nodes into positive / negative / zero sets at threshold tau."""
+def sign_support(y: np.ndarray) -> SignSupport:
+    """Split nodes into positive / negative / zero sets at the default zero
+    band tau = default_zero_tau(y)."""
     y = np.asarray(y, dtype=float)
-    if tau is None:
-        tau = default_zero_tau(y)
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    tau = default_zero_tau(y)
     is_pos = y > tau
     is_neg = y < -tau
     pos = tuple(int(i) for i in np.flatnonzero(is_pos))

@@ -1,28 +1,31 @@
 """Symmetric eigendecomposition and eigenpair selection.
 
 Three solves, all numpy only, all deterministic for a fixed input matrix.
-Without an eigen-index, `eigendecompose` returns every eigenpair from
-LAPACK's divide-and-conquer path (numpy.linalg.eigh).  With an index k and a
-matrix of order INDEX_MIN_ORDER or more, it returns every eigenvalue
-(numpy.linalg.eigvalsh) but only the eigenvector y_k, by inverse iteration
-from a shift just above lambda_k (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4): an LU solve or two in place of the eigenvector
-accumulation and the residual product over all n pairs.  A repeated
-lambda_k has no unique eigenvector, and callers see the basis eigh picks,
-so a repeated lambda_k gets the full decomposition.
+`eigendecompose` returns every eigenpair from LAPACK's divide-and-conquer
+path (numpy.linalg.eigh).  The other two are reached only through
+`laplacian_decomposition`, which decomposes a graph's Laplacian, builds it
+itself and is the one place that picks a route.
 
-`laplacian_decomposition` decomposes a graph's Laplacian, which it builds
-itself, and keeps what the graph's first solve computed on the Graph, so
-that every k and every check reads one spectrum.  Below INDEX_MIN_ORDER the
-Graph keeps the full decomposition, which every call at that order returns
-whatever k is.  From INDEX_MIN_ORDER on it keeps the eigvalsh values only,
-O(n) memory: each k still tests whether lambda_k is repeated and runs its
-own inverse iteration, and nothing n x n is kept, neither L, nor a full
-decomposition, nor the low-end form below.  The kept arrays, and every
-array that `laplacian_decomposition` returns, are read-only.
+The index route: for a 1-based index k and a graph of order
+INDEX_MIN_ORDER or more, every eigenvalue (numpy.linalg.eigvalsh) but only
+the eigenvector y_k, by inverse iteration from a shift just above lambda_k
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4): an LU solve or two in
+place of the eigenvector accumulation and the residual product over all n
+pairs.  A repeated lambda_k has no unique eigenvector, and callers see the
+basis eigh picks, so a repeated lambda_k gets the full decomposition.
 
-For a graph of order LOW_END_MIN_ORDER or more, `laplacian_decomposition`
-can take the low-end form, which returns only lambda_1..lambda_K and y_k.
+`laplacian_decomposition` keeps what the graph's first solve computed on
+the Graph, so that every k and every check reads one spectrum.  Below
+INDEX_MIN_ORDER the Graph keeps the full decomposition, which every call at
+that order returns whatever k is.  From INDEX_MIN_ORDER on it keeps the
+eigvalsh values only, O(n) memory: each k still tests whether lambda_k is
+repeated and runs its own inverse iteration, and nothing n x n is kept,
+neither L, nor a full decomposition, nor the low-end form below.  The kept
+arrays, and every array that `laplacian_decomposition` returns, are
+read-only.
+
+The low end: for a graph of order LOW_END_MIN_ORDER or more,
+`laplacian_decomposition` can return only lambda_1..lambda_K and y_k.
 Lanczos with full reorthogonalization (Parlett, ch. 13) runs on the graph's
 own edge arrays at O(m) per step plus the reorthogonalization.  Its Ritz
 values count only once they are certified: residual intervals that are
@@ -46,8 +49,8 @@ SYMMETRY_RTOL = 1e-12
 # MULTIPLICITY_RTOL * (1 + |lambda_k|) of it
 MULTIPLICITY_RTOL = 1e-8
 # below this order eigvalsh plus inverse iteration costs more than eigh in
-# per-call overhead (measured break-even between n = 32 and 48), so an index
-# is ignored
+# per-call overhead (measured break-even between n = 32 and 48), so
+# `laplacian_decomposition` ignores k there
 INDEX_MIN_ORDER = 64
 # inverse iteration shifts lambda_k up by SHIFT_ULPS * eps * (1 + max|A|),
 # doubling the shift when A - sigma I is exactly singular, at most
@@ -124,14 +127,8 @@ class EigenpairSelection:
     multiplicity_flag: bool
 
 
-def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix: every eigenpair, or with a
-    1-based index k every eigenvalue and the eigenvector y_k alone.
-
-    With k, a simple lambda_k gets y_k by inverse iteration.  A repeated
-    lambda_k (see `is_repeated`), one whose inverse iteration misses its
-    residual bound, and a matrix of order below INDEX_MIN_ORDER get the
-    full decomposition, the same bits as eigendecompose(A).
+def eigendecompose(A: np.ndarray) -> SpectralDecomposition:
+    """Every eigenpair of a symmetric matrix, from numpy.linalg.eigh.
 
     Raises NotSymmetricError if A deviates from its transpose by more than
     SYMMETRY_RTOL relative to its largest entry.
@@ -139,17 +136,11 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
     # exact symmetry, the usual case, needs no n x n difference
     if A.size and not np.array_equal(A, A.T):
+        scale = 1.0 + float(np.max(np.abs(A)))
         if float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale:  # NaN passes
             raise NotSymmetricError("matrix is not symmetric within tolerance")
-    if k is not None and not 1 <= k <= len(A):
-        raise IndexError(f"eigenpair index {k} outside [1,{len(A)}]")
-    if k is not None and len(A) >= INDEX_MIN_ORDER:
-        d = _index_route(A, k, np.linalg.eigvalsh(A), scale)
-        if d is not None:
-            return d
     values, vectors = np.linalg.eigh(A)
     if A.size:
         resid = float(np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0)))
@@ -163,8 +154,11 @@ def eigendecompose(A: np.ndarray, k: int | None = None) -> SpectralDecomposition
 def laplacian_decomposition(
     g: Graph, k: int | None = None, *, through: int | None = None
 ) -> SpectralDecomposition:
-    """eigendecompose(laplacian(g), k), or its low-end form, with every
-    array read-only.
+    """The decomposition of laplacian(g), with every array read-only: with
+    k at order INDEX_MIN_ORDER or more the index route, every eigenvalue
+    and y_k alone, or its low-end form; otherwise eigendecompose(L).  A
+    repeated lambda_k (see `is_repeated`) and one whose inverse iteration
+    misses its residual bound get eigendecompose(L), with the same bits.
 
     g keeps what its first solve computed (`_kept`), and later calls on g
     reuse it with the same bits: below INDEX_MIN_ORDER the full
@@ -177,8 +171,8 @@ def laplacian_decomposition(
     returns lambda_1..lambda_through and y_k from certified Lanczos pairs
     on g's edge arrays (`_low_end`).  When the Ritz values show lambda_k
     repeated, the full decomposition follows at once; any other result that
-    cannot be certified falls back to eigendecompose(L, k), with the same
-    bits."""
+    cannot be certified falls back to the index route, the bits a call
+    without `through` gives."""
     if k is not None and not 1 <= k <= g.n:
         raise IndexError(f"eigenpair index {k} outside [1,{g.n}]")
     if g.n < INDEX_MIN_ORDER:
@@ -219,8 +213,8 @@ def _read_only(x):
 def _index_route(
     A: np.ndarray, k: int, values: np.ndarray, scale: float
 ) -> SpectralDecomposition | None:
-    """eigendecompose(A, k) from A's eigvalsh `values` and scale
-    1 + max|A|: every eigenvalue and y_k by inverse iteration; None when
+    """The index route from A's eigvalsh `values` and scale 1 + max|A|:
+    every eigenvalue and y_k by inverse iteration; None when
     lambda_k is repeated or its inverse iteration misses the residual
     bound, and the full decomposition must follow."""
     if is_repeated(values, k):

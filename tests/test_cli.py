@@ -13,9 +13,15 @@ from nodal_expansion import cli
 from nodal_expansion import fileio
 from nodal_expansion import spectral
 from nodal_expansion.expansion import is_expander
-from nodal_expansion.generators import gen_cycle, gen_gnp, gen_path, gen_random_regular
-from nodal_expansion.graph import is_connected, laplacian, weights_from_eigenvector
-from nodal_expansion.spectral import eigendecompose, laplacian_decomposition, select_eigenpair
+from nodal_expansion.generators import (
+    gen_cycle,
+    gen_expander_path_expander,
+    gen_gnp,
+    gen_path,
+    gen_random_regular,
+)
+from nodal_expansion.graph import build_graph, is_connected
+from nodal_expansion.spectral import laplacian_decomposition
 
 from proof_graphs import FAMILIES, SIZES, proof_graph, proof_partition
 
@@ -126,8 +132,7 @@ def test_eigvec_weights_never_a_usage_error(gk):
     """Valid eigenvector weights: the heuristic search never raises, and
     `expander-check --eigvec` never exits with the usage-error code."""
     g, k = gk
-    w = weights_from_eigenvector(select_eigenpair(laplacian_decomposition(g), k).y)
-    is_expander(g, w, 0.05, mode="heuristic")
+    is_expander(g, cli.ct.EigenSplit(g, k).w, 0.05, mode="heuristic")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.txt"
         fileio.write_edge_list(g, path)
@@ -135,6 +140,68 @@ def test_eigvec_weights_never_a_usage_error(gk):
                 "--mode", "heuristic"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(gen_random_regular(400, 4, 1), 2), (gen_random_regular(400, 4, 1), 3),
+     (gen_cycle(160), 3)],
+    ids=["regular400-k2", "regular400-k3", "cycle160-k3"],
+)
+def test_eigvec_reads_the_theorems_weights(capsys, tmp_path, monkeypatch, g, k):
+    """`expander-check --eigvec k` and `partition --eigvec k` search the
+    weights that `analyze --k k` reads: EigenSplit(g, k).w, byte for byte.
+    At order 400 that is the index route's y_k; the 160-cycle's lambda_3 is
+    repeated, so it takes the full decomposition."""
+    graph = tmp_path / "g.txt"
+    fileio.write_edge_list(g, graph)
+    searched = []
+    for name in ("is_expander", "find_partition"):
+        real = getattr(cli.xp, name)
+
+        def spy(h, w, *args, _real=real, **kwargs):
+            searched.append(np.array(w))
+            return _real(h, w, *args, **kwargs)
+
+        monkeypatch.setattr(cli.xp, name, spy)
+    tail = ["--eigvec", str(k), "--c", "0.05", "--mode", "heuristic"]
+    assert run_capture(capsys, ["expander-check", str(graph), *tail])[0] == 0
+    assert run_capture(capsys, ["partition", str(graph), "--k", "2", *tail])[0] == 0
+    expected = cli.ct.EigenSplit(fileio.read_edge_list(graph), k).w
+    assert len(searched) == 2
+    assert all(w.tobytes() == expected.tobytes() for w in searched)
+
+
+def gap_verdicts(g):
+    """Whether the y_2 gap of g is degenerate, asserted to be the same from
+    EigenSplit, verify_theorem1 and verify_corollary1."""
+    ct = cli.ct
+    degenerate = ct.EigenSplit(g, 2).degenerate
+    assert ct.verify_theorem1(g, 2, mode="heuristic").degenerate_gap_flag == degenerate
+    assert ("degenerate_gap" in ct.verify_corollary1(g).flags) == degenerate
+    return degenerate
+
+
+@pytest.mark.parametrize(
+    "argv, degenerate",
+    [(("--n-block", "2", "--d", "0"), True), (("--n-block", "4", "--d", "0"), True),
+     ((), False)],
+    ids=["one-node-support", "edgeless-blocks", "defaults"],
+)
+def test_one_gap_rule_at_every_entry(capsys, argv, degenerate):
+    """The split, the theorem, the corollary and `demo-counterexample`
+    agree on whether the y_2 gap is degenerate."""
+    args = cli.build_parser().parse_args(["demo-counterexample", *argv])
+    g = gen_expander_path_expander(args.n_block, args.d, args.path_len, args.seed)
+    assert gap_verdicts(g) is degenerate
+    code, out = run_capture(capsys, ["demo-counterexample", *argv])
+    assert code == 0
+    assert ("degenerate_gap" in json.loads(out).get("flags", [])) is degenerate
+
+
+def test_one_gap_rule_on_an_edgeless_graph():
+    # L = 0: c = 0, a degenerate gap
+    assert gap_verdicts(build_graph(3, [])) is True
 
 
 def test_no_command_takes_a_budget(capsys, p3_file):
@@ -242,7 +309,7 @@ def test_verify_proof_decomposes_once(capsys, p4_file, tmp_path, monkeypatch):
 def test_verify_proof_matches_verify_theorem1_on_index_path(capsys, tmp_path):
     # 400 nodes: both entry points take y_3 from the index path
     g = gen_random_regular(400, 4, 0)
-    assert eigendecompose(laplacian(g), 3).index == 3
+    assert laplacian_decomposition(g, 3).index == 3
     report = cli.ct.verify_theorem1(g, 3, mode="heuristic")
     assert report.checks
     graph, pos, neg = (str(tmp_path / f) for f in ("g.txt", "pos.txt", "neg.txt"))
@@ -326,8 +393,10 @@ def test_spectral_routes(capsys, tmp_path, monkeypatch):
     graph = str(tmp_path / "g.txt")
     fileio.write_edge_list(g, graph)
     argv = ["expander-check", graph, "--eigvec", "2", "--c", "0.05", "--mode", "heuristic"]
-    # one eigh for the weights, one for the heuristic's own Fiedler order
-    assert square(lambda: run_capture(capsys, argv), 100) == ["eigh", "eigh"]
+    # the index route for the weights, as verify_theorem1 takes them, then
+    # one eigh for the heuristic's own Fiedler order
+    made = square(lambda: run_capture(capsys, argv), 100)
+    assert made[0] == "eigvalsh" and made[-1] == "eigh" and set(made[1:-1]) == {"solve"}
 
 
 def test_verify_proof_runs_verify_theorem1_checks(capsys, tmp_path):

@@ -95,11 +95,12 @@ class TestLaplacian:
 
 class TestSignSupport:
     def test_simple(self):
-        s = sign_support(np.array([1.0, -1.0]), 0.0)
+        s = sign_support(np.array([1.0, -1.0]))
         assert s.positive == (0,) and s.negative == (1,) and s.zero == ()
 
     def test_zero_band(self):
-        s = sign_support(np.array([0.5, 1e-12, -0.5]), 1e-9)
+        # the default band is 1e-9 max|y| = 5e-10
+        s = sign_support(np.array([0.5, 1e-12, -0.5]))
         assert s.positive == (0,) and s.zero == (1,) and s.negative == (2,)
 
     def test_p4_fiedler(self):
@@ -109,21 +110,19 @@ class TestSignSupport:
         assert np.allclose(np.linalg.eigvalsh(L), char_poly_eigs(L), atol=1e-8)
         d = eigendecompose(L)
         y = select_eigenpair(d, 2).y
-        s = sign_support(y, 1e-9)
+        s = sign_support(y)
         assert s.positive == (0, 1) and s.negative == (2, 3)
 
     def test_partitions_node_set(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            y = rng.standard_normal(int(rng.integers(1, 20)))
-            s = sign_support(y, float(rng.random() * 0.5))
+            # entries drawn to land in the band as well as outside it
+            n = int(rng.integers(1, 20))
+            y = rng.standard_normal(n) * 10.0 ** -rng.integers(0, 12, n)
+            s = sign_support(y)
             all_nodes = sorted(s.positive + s.negative + s.zero)
             assert all_nodes == list(range(len(y)))
             assert not set(s.positive) & set(s.negative)
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            sign_support(np.array([1.0]), -1.0)
 
 
 class TestInducedSubgraph:

@@ -194,13 +194,15 @@ class TestSpectralGap:
 
 
 class TestIndexPath:
-    """eigendecompose(A, k): every eigenvalue, one eigenvector by inverse
-    iteration.  Tests that use graphs below INDEX_MIN_ORDER lower it, so
-    the small graphs take the index path too."""
+    """laplacian_decomposition(g, k): every eigenvalue, one eigenvector by
+    inverse iteration.  Tests that use graphs below INDEX_MIN_ORDER lower
+    it, so the small graphs take the index path too; each graph is fresh,
+    so nothing kept under another order is read."""
 
     def test_small_order_ignores_index(self):
-        L = laplacian(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
-        d, full = eigendecompose(L, 2), eigendecompose(L)
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        L = laplacian(g)
+        d, full = laplacian_decomposition(g, 2), eigendecompose(L)
         assert d.index is None
         assert np.array_equal(d.values, full.values)
         assert np.array_equal(d.vectors, full.vectors)
@@ -215,7 +217,7 @@ class TestIndexPath:
             L = laplacian(g)
             full = eigendecompose(L)
             for k in range(1, min(g.n, 12) + 1):
-                d = eigendecompose(L, k)
+                d = laplacian_decomposition(g, k)
                 if is_repeated(np.linalg.eigvalsh(L), k):
                     assert d.index is None
                     assert np.array_equal(d.vectors, full.vectors)
@@ -246,7 +248,7 @@ class TestIndexPath:
     def test_repeated_eigenvalue_falls_back_bit_for_bit(self, monkeypatch, g, k):
         monkeypatch.setattr(spectral, "INDEX_MIN_ORDER", 1)
         L = laplacian(g)
-        d, full = eigendecompose(L, k), eigendecompose(L)
+        d, full = laplacian_decomposition(g, k), eigendecompose(L)
         assert d.index is None
         assert np.array_equal(d.values, full.values)
         assert np.array_equal(d.vectors, full.vectors)
@@ -266,19 +268,19 @@ class TestIndexPath:
         M.flat[::8] -= values[5] + spectral.SHIFT_ULPS * EPS * (1.0 + np.max(np.abs(L)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(M, np.ones(7))
-        d = eigendecompose(L, 6)
+        d = laplacian_decomposition(g, 6)
         assert d.index == 6
         assert d.residual <= residual_bound(L)
         y_full = select_eigenpair(eigendecompose(L), 6).y
         assert np.max(np.abs(select_eigenpair(d, 6).y - y_full)) <= 1e-12
 
     def test_index_out_of_range_and_other_vectors(self):
-        L = laplacian(gen_random_regular(64, 3, 0))
+        g = gen_random_regular(64, 3, 0)
         with pytest.raises(IndexError):
-            eigendecompose(L, 0)
+            laplacian_decomposition(g, 0)
         with pytest.raises(IndexError):
-            eigendecompose(L, 65)
-        d = eigendecompose(L, 2)
+            laplacian_decomposition(g, 65)
+        d = laplacian_decomposition(g, 2)
         assert d.index == 2
         with pytest.raises(ValueError, match="eigenvector 2 only"):
             select_eigenpair(d, 3)
@@ -329,7 +331,7 @@ class TestLowEnd:
 
         monkeypatch.setattr(spectral, "_lanczos", drop_second)
         d = laplacian_decomposition(g, 3, through=4)
-        dense = eigendecompose(L, 3)
+        dense = laplacian_decomposition(build_graph(g.n, g.edges), 3)
         assert d.radii is None
         assert np.array_equal(d.values, dense.values)
         assert np.array_equal(d.vectors, dense.vectors)
@@ -377,7 +379,7 @@ class TestLowEnd:
         monkeypatch.setattr(spectral, "_laplacian_matvec", matvec)
         d = laplacian_decomposition(g, 2, through=3)
         assert len(steps) == spectral.LANCZOS_MAX_STEPS
-        dense = eigendecompose(L, 2)
+        dense = laplacian_decomposition(build_graph(g.n, g.edges), 2)
         assert d.radii is None and d.index == 2
         assert np.array_equal(d.values, dense.values)
         assert np.array_equal(d.vectors, dense.vectors)
@@ -385,7 +387,7 @@ class TestLowEnd:
     def test_through_ignored_without_room(self):
         g, _ = proof_graph("gnp", 600)
         L = laplacian(g)
-        dense = eigendecompose(L, 2)
+        dense = laplacian_decomposition(build_graph(g.n, g.edges), 2)
         for through in (2, 1, g.n):  # K must satisfy k < K < n
             d = laplacian_decomposition(g, 2, through=through)
             assert d.radii is None and np.array_equal(d.vectors, dense.vectors)
@@ -393,17 +395,18 @@ class TestLowEnd:
         L_small = laplacian(small)
         d = laplacian_decomposition(small, 2, through=3)
         assert d.radii is None
-        assert np.array_equal(d.vectors, eigendecompose(L_small, 2).vectors)
+        fresh = build_graph(small.n, small.edges)
+        assert np.array_equal(d.vectors, laplacian_decomposition(fresh, 2).vectors)
         for M in (L, L_small):
             with pytest.raises(TypeError):
-                eigendecompose(M, 2, through=3)
+                eigendecompose(M, through=3)
 
     def test_eigendecompose_takes_no_edge_list(self):
         # the low end runs on the graph's own edges; an edge list handed in
         # beside a matrix could belong to another graph
         g = gen_path(4)
         with pytest.raises(TypeError):
-            eigendecompose(laplacian(g), 2, through=3, edges=g.edge_arrays())
+            eigendecompose(laplacian(g), through=3, edges=g.edge_arrays())
 
     def test_order_is_not_value_count(self):
         g, _ = proof_graph("gnp", 600)
