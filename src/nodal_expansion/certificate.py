@@ -48,8 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, InducedSubgraph, induced_subgraph, sign_support
-from .graph import weights_from_eigenvector
+from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian
+from .graph import laplacian_scale, sign_support, weights_from_eigenvector
 from .spectral import (
     SpectralDecomposition,
     laplacian_decomposition,
@@ -62,11 +62,10 @@ class CertificateError(ValueError):
     pass
 
 
-def default_tolerance(L: np.ndarray) -> float:
-    """Scale-aware tolerance for all proof-step checks."""
-    n = L.shape[0]
-    scale = float(np.max(np.abs(L))) if L.size else 0.0
-    return 1e-8 * (1.0 + scale * n)
+def default_tolerance(g: Graph) -> float:
+    """Scale-aware tolerance for all proof-step checks on g:
+    1e-8 (1 + n max|L|)."""
+    return 1e-8 * (1.0 + laplacian_scale(g) * g.n)
 
 
 class EigenSplit:
@@ -84,7 +83,7 @@ class EigenSplit:
         self.graph, self.spectrum = g, d
         self.pair = select_eigenpair(d, k)
         self.w = weights_from_eigenvector(self.pair.y)
-        self.tolerance = default_tolerance(d.matrix)
+        self.tolerance = default_tolerance(g)
         self.support = sign_support(self.pair.y)
         self.c = self.degenerate = self.threshold = None
         if k < d.n:
@@ -111,21 +110,20 @@ class EigenSplit:
 
 @dataclass
 class ProofObjects:
-    """All numerical objects of the proof for one (graph, k, partition)."""
+    """The proof's objects for one (graph, k, partition) that the checks
+    read.  M = L - lambda_k I and the split vectors form B and are dropped."""
 
     graph: Graph
     k: int
     lambda_k: float
     lambda_k1: float | None
     c: float | None
-    M: np.ndarray
     parts: tuple[tuple[int, ...], ...]  # positive-side classes first
     a: int
     b: int
     y: np.ndarray
     w: np.ndarray
-    y_split: np.ndarray  # row i = y restricted to parts[i]
-    z: np.ndarray
+    z: np.ndarray  # z_i = ||y restricted to parts[i]||
     B: np.ndarray
     mu: np.ndarray
     # each class's cut in its side's support subgraph, bit for bit what
@@ -228,8 +226,8 @@ def build_proof_objects(
     pos_classes: Sequence[Sequence[int]],
     neg_classes: Sequence[Sequence[int]],
 ) -> ProofObjects:
-    """Assemble M, the split vectors, their norms z, and the matrices B and
-    C for the given partitions of the two supports of the k-th eigenvector.
+    """Assemble the split vectors' norms z and the matrices B and C for
+    the given partitions of the two supports of the k-th eigenvector.
 
     The split takes laplacian(g) in the low-end form: the checks read
     lambda_1..lambda_K, K = max(a + b, k + 1), and y_k only."""
@@ -264,7 +262,7 @@ def _proof_objects(
     parts = tuple(pos) + tuple(neg)
     if not parts:
         raise CertificateError("no classes given; both supports empty")
-    M = d.matrix.copy()
+    M = laplacian(g)
     M.flat[:: g.n + 1] -= lam
     y_split = np.zeros((len(parts), g.n))
     for i, cls in enumerate(parts):
@@ -282,13 +280,11 @@ def _proof_objects(
         lambda_k=lam,
         lambda_k1=d.value(k + 1) if k < d.n else None,
         c=s.c,
-        M=M,
         parts=parts,
         a=len(pos),
         b=len(neg),
         y=y,
         w=s.w,
-        y_split=y_split,
         z=z,
         B=B,
         mu=mu,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, GraphError, build_graph
 
 
 class ParseError(ValueError):
@@ -48,18 +48,23 @@ def parse_edge_list(text: str, source: str | Path = "<string>") -> Graph:
         raise ParseError(
             source, no, f"header promises {m} edges, file has {len(body)}"
         )
-    edges = []
-    for no, line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(source, no, f"expected 'u v', got {line!r}")
-        try:
-            edges.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ParseError(source, no, f"non-integer endpoint in {line!r}") from None
+
+    def edges():
+        # build_graph reads one edge at a time: `no` names the one it rejects
+        nonlocal no
+        for no, line in body:
+            fields = line.split()
+            if len(fields) != 2:
+                raise ParseError(source, no, f"expected 'u v', got {line!r}")
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(source, no, f"non-integer endpoint in {line!r}") from None
+            yield u, v
+
     try:
-        return build_graph(n, edges)
-    except ValueError as e:
+        return build_graph(n, edges())
+    except GraphError as e:
         raise ParseError(source, no, str(e)) from e
 
 
@@ -111,8 +116,6 @@ def parse_partition(
             nodes = [int(f) for f in line.split()]
         except ValueError:
             raise ParseError(source, no, f"non-integer node index in {line!r}") from None
-        if not nodes:
-            raise ParseError(source, no, "empty class line")
         classes.append(nodes)
     return classes
 

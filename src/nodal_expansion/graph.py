@@ -42,11 +42,9 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Read-only node degrees, one bincount of the edge arrays, shared
+        by every caller."""
+        return self._degrees
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint index arrays (us, vs) in edge order, shared by
@@ -62,6 +60,12 @@ class Graph:
         us.flags.writeable = False
         vs.flags.writeable = False
         return us, vs
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.bincount(np.concatenate(self.edge_arrays()), minlength=self.n)
+        deg.flags.writeable = False
+        return deg
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -96,8 +100,14 @@ def laplacian(g: Graph) -> np.ndarray:
     L = np.zeros((g.n, g.n))
     L[us, vs] = -1.0
     L[vs, us] = -1.0
-    L.flat[:: g.n + 1] = np.bincount(us, minlength=g.n) + np.bincount(vs, minlength=g.n)
+    L.flat[:: g.n + 1] = g.degrees()
     return L
+
+
+def laplacian_scale(g: Graph) -> float:
+    """max|L| for L = laplacian(g): the largest degree, as off-diagonal
+    entries are 0 or -1 and an edge's endpoints have degree >= 1."""
+    return float(g.degrees().max()) if g.n else 0.0
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ the Graph, so that every k and every check reads one spectrum.  Below
 INDEX_MIN_ORDER the Graph keeps the full decomposition, which every call at
 that order returns whatever k is.  From INDEX_MIN_ORDER on it keeps the
 eigvalsh values only, O(n) memory: each k still tests whether lambda_k is
-repeated and runs its own inverse iteration, and nothing n x n is kept,
-neither L, nor a full decomposition, nor the low-end form below.  The kept
-arrays, and every array that `laplacian_decomposition` returns, are
-read-only.
+repeated and runs its own inverse iteration.  No decomposition holds its
+matrix: L lives for the call that built it, and its scale max|L| is the
+largest degree (`laplacian_scale`).  The kept arrays, and every array that
+`laplacian_decomposition` returns, are read-only.
 
 The low end: for a graph of order LOW_END_MIN_ORDER or more,
 `laplacian_decomposition` can return only lambda_1..lambda_K and y_k.
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, default_zero_tau, laplacian
+from .graph import Graph, default_zero_tau, laplacian, laplacian_scale
 
 SYMMETRY_RTOL = 1e-12
 # lambda_k is repeated when a neighbour lies within
@@ -76,9 +76,7 @@ class NotSymmetricError(ValueError):
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues, orthonormal eigenvectors (columns), the worst
-    residual ||A v - lambda v||_2 over the pairs computed, and the matrix A
-    itself (not copied), which the proof objects read to form
-    L - lambda_k I and the check tolerance.
+    residual ||A v - lambda v||_2 over the pairs computed; not A itself.
 
     `n` is the order of A.  `values` holds all n eigenvalues, except from
     the low-end form, where it holds lambda_1..lambda_K only and `radii`
@@ -92,13 +90,12 @@ class SpectralDecomposition:
     values: np.ndarray
     vectors: np.ndarray
     residual: float
-    matrix: np.ndarray
     index: int | None = None
     radii: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return len(self.vectors)
 
     def value(self, k: int) -> float:
         """Eigenvalue by 1-based index."""
@@ -142,13 +139,8 @@ def eigendecompose(A: np.ndarray) -> SpectralDecomposition:
         if float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale:  # NaN passes
             raise NotSymmetricError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(A)
-    if A.size:
-        resid = float(np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0)))
-    else:
-        resid = 0.0
-    return SpectralDecomposition(
-        values=values, vectors=vectors, residual=resid, matrix=A
-    )
+    resid = float(np.max(np.linalg.norm(A @ vectors - vectors * values, axis=0), initial=0.0))
+    return SpectralDecomposition(values=values, vectors=vectors, residual=resid)
 
 
 def laplacian_decomposition(
@@ -164,7 +156,7 @@ def laplacian_decomposition(
     reuse it with the same bits: below INDEX_MIN_ORDER the full
     decomposition, every call's result at that order, and from there on
     only the eigvalsh values, O(n), so a second k pays its inverse
-    iteration alone.  L, the full route and the low-end form are computed
+    iteration alone.  The full route and the low-end form are computed
     afresh at that order, each with its own values.
 
     The low-end form: with k < through < n and n >= LOW_END_MIN_ORDER, it
@@ -184,7 +176,7 @@ def laplacian_decomposition(
             d = _low_end(g, L, k, through)
         if d is None:
             values = _kept(g, lambda: _read_only(np.linalg.eigvalsh(L)))
-            d = _index_route(L, k, values, 1.0 + float(np.max(np.abs(L))))
+            d = _index_route(L, k, values, 1.0 + laplacian_scale(g))
     return _read_only(eigendecompose(L) if d is None else d)
 
 
@@ -202,7 +194,7 @@ def _kept(g: Graph, solve):
 def _read_only(x):
     """x, an array or a decomposition, with its arrays made read-only."""
     if isinstance(x, SpectralDecomposition):
-        for a in (x.values, x.vectors, x.matrix, x.radii):
+        for a in (x.values, x.vectors, x.radii):
             if a is not None:
                 a.flags.writeable = False
     else:
@@ -224,7 +216,7 @@ def _index_route(
         return None
     y, resid = pair
     return SpectralDecomposition(
-        values=values, vectors=y[:, None], residual=resid, matrix=A, index=k
+        values=values, vectors=y[:, None], residual=resid, index=k
     )
 
 
@@ -295,8 +287,9 @@ def _low_end(g: Graph, L: np.ndarray, k: int, through: int) -> SpectralDecomposi
     inverse-iteration residual bound 2 n eps (1 + max|L|)."""
     n = len(L)
     us, vs = g.edge_arrays()
-    deg = np.diag(L)
-    bound = 2 * n * np.finfo(float).eps * (1.0 + float(np.max(np.abs(L))))
+    deg = g.degrees()
+    dmax = laplacian_scale(g)
+    bound = 2 * n * np.finfo(float).eps * (1.0 + dmax)
     ritz = _lanczos(deg, us, vs, through + 1, k, bound)
     if ritz is None:
         return None
@@ -309,7 +302,6 @@ def _low_end(g: Graph, L: np.ndarray, k: int, through: int) -> SpectralDecomposi
     rho = np.linalg.norm(R, axis=0)
     if rho[k - 1] > bound:
         return None
-    dmax = float(np.max(deg))
     # the matvec and the subtraction of theta v round at most dmax + 4 times
     # per entry, on terms summing to at most (2 dmax + |theta|) |v|; the
     # norms round at most n + 2 times; (1 + 4u) covers this line's own
@@ -346,7 +338,6 @@ def _low_end(g: Graph, L: np.ndarray, k: int, through: int) -> SpectralDecomposi
         values=theta[:K],
         vectors=V[:, k - 1 : k].copy(),
         residual=float(rho[k - 1]),
-        matrix=L,
         index=k,
         radii=r[:K],
     )

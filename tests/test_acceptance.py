@@ -133,7 +133,7 @@ def _make_instances(count=1000, seed=20240817):
         k = int(rng.integers(2, n))
         d = eigendecompose(laplacian(g))
         c = spectral_gap_c(d, k)
-        if c <= 2 * ct.default_tolerance(laplacian(g)):
+        if c <= 2 * ct.default_tolerance(g):
             continue
         y = select_eigenpair(d, k).y
         supp = sign_support(y)
@@ -151,7 +151,7 @@ def _make_instances(count=1000, seed=20240817):
         else:
             # certified partitions with all expansions below c, so that the
             # conditional lambda_max(C) < 2c branch is exercised
-            tol = ct.default_tolerance(laplacian(g))
+            tol = ct.default_tolerance(g)
             sides = []
             for nodes in (supp.positive, supp.negative):
                 sub = induced_subgraph(g, nodes)

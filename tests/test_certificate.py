@@ -7,7 +7,12 @@ import pytest
 from nodal_expansion import certificate as ct
 from nodal_expansion import expansion as xp
 from nodal_expansion import spectral
-from nodal_expansion.generators import enumerate_connected_graphs, gen_gnp
+from nodal_expansion.generators import (
+    enumerate_connected_graphs,
+    gen_gnp,
+    gen_random_regular,
+    sample_connected_graphs,
+)
 from nodal_expansion.graph import (
     build_graph,
     induced_subgraph,
@@ -15,9 +20,14 @@ from nodal_expansion.graph import (
     laplacian,
     sign_support,
 )
-from nodal_expansion.spectral import eigendecompose, select_eigenpair
+from nodal_expansion.spectral import (
+    SpectralDecomposition,
+    eigendecompose,
+    select_eigenpair,
+)
 
 import loop_checks
+from oracles import component_count
 from proof_graphs import FAMILIES, SIZES, proof_graph, proof_partition
 
 
@@ -61,11 +71,15 @@ class TestBuildProofObjects:
             p = ct.build_proof_objects(
                 g, k, *_whole_side_classes(g, k)
             )
-            assert np.max(np.abs(p.M @ p.y)) <= 1e-8 * (1 + abs(p.lambda_k))
+            M = laplacian(p.graph) - p.lambda_k * np.eye(p.graph.n)
+            assert np.max(np.abs(M @ p.y)) <= 1e-8 * (1 + abs(p.lambda_k))
 
     def test_split_vectors_orthonormal(self):
         p = ct.build_proof_objects(p4(), 2, [[0], [1]], [[2, 3]])
-        y_hat = p.y_split / p.z[:, None]
+        y_split = np.zeros((len(p.parts), p.graph.n))
+        for i, cls in enumerate(p.parts):
+            y_split[i, list(cls)] = p.y[list(cls)]
+        y_hat = y_split / p.z[:, None]
         gram = y_hat @ y_hat.T
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
 
@@ -410,3 +424,71 @@ def test_checks_match_loop_forms_on_proof_graphs(family, n):
         pos, neg = proof_partition(ys[k], a, b)
         p = ct.build_proof_objects(g, k, pos, neg)
         loop_checks.assert_matches(p, ct.class_expansions(p))
+
+
+def test_support_components_bound_exact_class_counts():
+    """Each connected component of a sign support has expansion 0 in it, so
+    in exact mode a and b are at least the component counts of the positive
+    and negative support subgraphs (the nodal domains of y_k)."""
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    graphs += list(sample_connected_graphs(7, 200, seed=11))
+    checked = 0
+    for g in graphs:
+        for k in range(1, g.n):
+            r = ct.verify_theorem1(g, k)
+            if r.degenerate_gap_flag:
+                continue
+            supp = ct.EigenSplit(g, k).support
+            domains = [
+                component_count(induced_subgraph(g, nodes).graph)
+                for nodes in (supp.positive, supp.negative)
+            ]
+            assert r.a >= domains[0] and r.b >= domains[1]
+            checked += 1
+    assert checked > 2000
+
+
+def _reachable_arrays(root):
+    """(owner, array) for every array reachable from root through instance
+    attributes (a Graph's kept values among them), tuples, lists and dicts;
+    owner is the object whose attribute leads to the array."""
+    seen, stack = set(), [(None, root)]
+    while stack:
+        owner, x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            yield owner, x
+        elif isinstance(x, (tuple, list)):
+            stack += [(owner, v) for v in x]
+        elif isinstance(x, dict):
+            stack += [(owner, v) for v in x.values()]
+        elif hasattr(x, "__dict__"):
+            stack += [(x, v) for v in vars(x).values()]
+
+
+def test_no_record_keeps_a_square_matrix(monkeypatch):
+    """Nothing reachable from the proof objects or their spectrum is n x n
+    or (a+b) x n, but for the eigenvectors of a full decomposition."""
+    built, run_checks = [], ct.run_checks
+    monkeypatch.setattr(ct, "run_checks", lambda p: built.append(p) or run_checks(p))
+    g7 = next(sample_connected_graphs(7, 1, seed=0))
+    for k in range(1, 7):
+        ct.verify_theorem1(g7, k)
+    g100 = gen_random_regular(100, 4, 0)
+    for k in range(2, 6):
+        ct.verify_theorem1(g100, k, mode="heuristic")
+    g600, ys = proof_graph("gnp", 600)
+    built.append(ct.build_proof_objects(g600, 2, *proof_partition(ys[2], 2, 1)))
+    assert built[-1].spectrum.radii is not None  # the low end
+    assert {p.graph.n for p in built} == {7, 100, 600}
+    for p in built:
+        n, m = p.graph.n, p.a + p.b
+        for owner, a in _reachable_arrays(p):
+            if isinstance(owner, SpectralDecomposition) and owner.index is None:
+                if a is owner.vectors:
+                    continue
+            assert a.size != n * n and a.shape != (m, n)
+    kept = vars(g7)["_spectrum"]
+    assert all(a is kept.vectors for _, a in _reachable_arrays(kept) if a.ndim > 1)

@@ -33,9 +33,21 @@ def test_header_edge_count_mismatch():
         fileio.parse_edge_list("3 5\n0 1\n")
 
 
-def test_graph_validation_surfaces_as_parse_error():
-    with pytest.raises(fileio.ParseError):
-        fileio.parse_edge_list("3 1\n0 0\n")
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("3 2\n0 5\n1 2\n", 2, "edge (0,5) has endpoint outside [0,3)"),
+        ("3 3\n0 1\n1 1\n0 2\n", 3, "self-loop at node 1"),
+        ("4 3\n0 1\n0 1\n2 3\n", 3, "duplicate edge (0,1)"),
+        ("-1 1\n0 1\n", 1, "node count must be nonnegative, got -1"),
+    ],
+    ids=["endpoint", "self-loop", "duplicate", "node-count"],
+)
+def test_graph_validation_surfaces_as_parse_error(text, line_no, message):
+    # the error names the offending edge's line, or the header's
+    with pytest.raises(fileio.ParseError) as e:
+        fileio.parse_edge_list(text)
+    assert (e.value.line_no, str(e.value)) == (line_no, f"<string>:{line_no}: {message}")
 
 
 def test_weights_round_trip(tmp_path):

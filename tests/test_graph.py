@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nodal_expansion.certificate import default_tolerance
 from nodal_expansion.graph import (
     DuplicateEdgeError,
     EndpointOutOfRange,
@@ -9,10 +12,11 @@ from nodal_expansion.graph import (
     connected_components,
     induced_subgraph,
     laplacian,
+    laplacian_scale,
     sign_support,
     weights_from_eigenvector,
 )
-from nodal_expansion.generators import gen_gnp
+from nodal_expansion.generators import gen_complete, gen_gnp, gen_path
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 
 from oracles import char_poly_eigs
@@ -91,6 +95,30 @@ class TestLaplacian:
             L = laplacian(g)
             assert L.dtype == np.float64
             assert np.array_equal(L, loop_laplacian(g))
+
+
+_order = st.integers(1, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 12).map(lambda n: build_graph(n, [])),
+        _order.map(gen_path),
+        _order.map(gen_complete),
+        st.builds(gen_gnp, _order, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)),
+    )
+)
+@example(build_graph(0, []))
+@example(build_graph(1, []))
+def test_scale_and_tolerance_read_off_the_degrees(g):
+    # bit for bit the matrix formulas they replace
+    L = laplacian(g)
+    scale = float(np.max(np.abs(L))) if L.size else 0.0
+    assert laplacian_scale(g).hex() == scale.hex()
+    assert default_tolerance(g).hex() == (1e-8 * (1.0 + scale * L.shape[0])).hex()
+    assert np.array_equal(g.degrees(), np.diag(L))
+    assert not g.degrees().flags.writeable
 
 
 class TestSignSupport:

@@ -48,7 +48,10 @@ the total: on the 160-cycle at k = 3 and on G(120, 0.05) seed 1 at k = 2.
 Every float is written as `float.hex`, so two dumps are equal exactly when
 every report is equal bit for bit, signed zeros included.  Run it from the
 root of a checkout (the package is imported from ./src) on two revisions and
-`diff` the outputs.
+`diff` the outputs, or let `tools/compare_dumps.py [REV] [--max-n N]` do
+it: it runs this script on REV's src/ (default HEAD) and on the working
+tree's, in both modes, counts the differing lines of each kind and exits 1
+on any difference.
 
 The script pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS set to 1 before numpy is imported), whatever the
