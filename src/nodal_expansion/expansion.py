@@ -42,10 +42,15 @@ confirms: the exact engine's table (below) and the heuristic's greedy
 moves, whose trials are all screened at once from per-node sums by
 neighbour class.  A sweep's p - 1 prefixes all go to the kernel.
 
-Heuristic mode splits a support along Fiedler sweeps and then moves single
-nodes between classes.  The splits form one chain per support, the classes
-after 0, 1, 2, ... splits, so `max_partitionable` walks the chain once for
-k = 1, 2, ... and `find_partition` draws k - 1 splits from it.
+Heuristic mode splits a support and then moves single nodes between
+classes.  A class whose induced graph is disconnected sheds its lightest
+component, a cut of phi 0 that needs no eigensolve; a connected one is cut
+along the sweep of its Fiedler vector, which `laplacian_decomposition`
+gives.  The splits form one chain per support, the classes after 0, 1,
+2, ... splits, so `max_partitionable` walks the chain once for k = 1, 2, ...
+and `find_partition` draws k - 1 splits from it.  The chain splits a
+support into its components first, so heuristic a and b are at least the
+nodal-domain counts of y_k's sign supports, as exact a and b are.
 
 Exact mode rests on one table: phi of every subset of the p positive-weight
 nodes.  Bit j takes the masks [2^j, 2^(j+1)) from the masks [0, 2^j) by
@@ -79,8 +84,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian
-from .spectral import _gamma
+from .graph import Graph, InducedSubgraph, connected_components, induced_subgraph
+from .spectral import _gamma, laplacian_decomposition
 
 EXACT_BIPARTITION_CAP = 20
 EXACT_SET_PARTITION_CAP = 12
@@ -496,13 +501,20 @@ def is_expander(g: Graph, w: np.ndarray, c: float, mode: str = "exact") -> Expan
 
 
 def _fiedler_order(x: _Input) -> list[int]:
-    """Nodes sorted by the Fiedler vector of the Laplacian, positive-weight
-    nodes first, index as final tie-break."""
+    """Nodes sorted by the Fiedler vector y_2 of the Laplacian, positive-weight
+    nodes first, index as final tie-break.
+
+    y_2 is `laplacian_decomposition(g, 2)`'s, so g's kept spectrum serves
+    it and spectral.py picks the route: below INDEX_MIN_ORDER the full
+    eigh, and from there on the index route, inverse iteration, unless
+    lambda_2 is repeated (always so on a disconnected graph) or the
+    iteration misses its bound.  The index route's y_2 may have the other
+    sign, which reverses the positive-weight nodes' order; a sweep's
+    prefixes are then the complements of the same cuts."""
     if x.g.n == 1:
         return [0]
-    _, vecs = np.linalg.eigh(laplacian(x.g))
-    f = vecs[:, 1]
-    return sorted(range(x.g.n), key=lambda i: (x.w[i] <= 0, float(f[i]), i))
+    f = laplacian_decomposition(x.g, 2).vector(2)
+    return np.lexsort((np.arange(x.g.n), f, x.w <= 0)).tolist()
 
 
 def _candidate_orders(x: _Input) -> list[list[int]]:
@@ -761,24 +773,53 @@ def find_partition(
 def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
     """The classes of the positive-weight nodes after 0, 1, 2, ... splits,
     until every class is a single node.  Each split cuts the heaviest class
-    of two or more nodes, the first among equals, along its Fiedler sweep.
-    A split depends only on the class it cuts, so the classes after j
-    splits are the same whichever k asks for them."""
+    of two or more nodes, the first among equals.  When the graph induced
+    on that class is disconnected, its lightest component, the first among
+    equals in `connected_components` order, is split off: no eigensolve
+    and no sweep.  Each component boundary is a cut of phi 0, so this is a
+    best sweep cut of any order of the (repeated) null space, and it does
+    not hang on the basis LAPACK picks for it.  A connected class is cut
+    along its Fiedler sweep.  Either way the part split off takes the
+    class's index and the rest is appended.  A split depends only on the
+    class it cuts, so the classes after j splits are the same whichever k
+    asks for them.
+
+    So a support whose induced graph has r components, its nodal domains
+    when the support is a sign support of y_k, is split into them first.
+    Until then exactly one class, the last, holds two or more components,
+    and every other class is one component peeled from a superset of it,
+    the lightest there.  The last class thus holds at least two components,
+    each as heavy as any peeled one, and it is strictly the heaviest: a
+    float sum of positive weights lies within a relative gamma_n of the
+    exact sum, far from half its value.  After r - 1 splits the classes
+    are the r components, each of phi 0 < c, and every class after fewer
+    splits is a union of components, of phi 0 too.  Heuristic
+    `max_partitionable` therefore reaches k = r at least."""
     classes: list[list[int]] = [list(x.pos)]
     while True:
         yield list(classes)
         ci = max(
             (ci for ci, cls in enumerate(classes) if len(cls) >= 2),
-            key=lambda ci: float(sum(x.w[i] for i in classes[ci])),
+            key=lambda ci: _weight(x.w, classes[ci]),
             default=None,
         )
         if ci is None:
             return
         cls = classes[ci]
         sub, y = x.induced(cls)
-        S, _ = _sweep(y, _fiedler_order(y))
+        parts = connected_components(sub.graph)
+        if len(parts) > 1:
+            S = min(parts, key=lambda part: _weight(y.w, part))
+        else:
+            S, _ = _sweep(y, _fiedler_order(y))
         classes[ci] = list(sub.to_parent_set(S))
         classes.append(sorted(set(cls) - set(classes[ci])))
+
+
+def _weight(w: np.ndarray, nodes: list[int]) -> float:
+    """w of the ascending `nodes`, summed left to right: the weight by which
+    `_split_chain` ranks classes and components."""
+    return float(sum(w[i] for i in nodes))
 
 
 def _heuristic_partition(

@@ -4,7 +4,10 @@ Three solves, all numpy only, all deterministic for a fixed input matrix.
 `eigendecompose` returns every eigenpair from LAPACK's divide-and-conquer
 path (numpy.linalg.eigh).  The other two are reached only through
 `laplacian_decomposition`, which decomposes a graph's Laplacian, builds it
-itself and is the one place that picks a route.
+itself and is the one place that picks a route.  Its callers are the
+eigen-split of a (graph, k) (certificate.py), the heuristic search's
+Fiedler vectors (expansion.py), which ask it for y_2, and the CLI's
+`spectrum`.
 
 The index route: for a 1-based index k and a graph of order
 INDEX_MIN_ORDER or more, every eigenvalue (numpy.linalg.eigvalsh) but only

@@ -9,7 +9,9 @@ from nodal_expansion import expansion as xp
 from nodal_expansion import spectral
 from nodal_expansion.generators import (
     enumerate_connected_graphs,
+    gen_expander_path_expander,
     gen_gnp,
+    gen_path,
     gen_random_regular,
     sample_connected_graphs,
 )
@@ -446,6 +448,51 @@ def test_support_components_bound_exact_class_counts():
             assert r.a >= domains[0] and r.b >= domains[1]
             checked += 1
     assert checked > 2000
+
+
+def test_support_components_bound_heuristic_class_counts():
+    """The heuristic's split chain sheds a support's components first, so
+    heuristic a and b are at least the nodal-domain counts too, on 7-node
+    graphs and on graphs of 100 to 300 nodes."""
+    graphs = list(sample_connected_graphs(7, 200, seed=11))
+    graphs += [gen_path(n) for n in (100, 200, 300)]
+    graphs += [gen_gnp(n, 6 / (n - 1), s) for n in (100, 200) for s in range(4)]
+    graphs += [gen_expander_path_expander(60, 4, 100, s) for s in range(3)]
+    checked = 0
+    for g in graphs:
+        for k in range(1, min(g.n - 1, 8) + 1):
+            r = ct.verify_theorem1(g, k, mode="heuristic")
+            if r.degenerate_gap_flag:
+                continue
+            supp = ct.EigenSplit(g, k).support
+            domains = [
+                component_count(induced_subgraph(g, nodes).graph)
+                for nodes in (supp.positive, supp.negative)
+            ]
+            assert r.a >= domains[0] and r.b >= domains[1]
+            checked += 1
+    assert checked > 1200
+
+
+def test_heuristic_class_counts_against_exact_on_the_atlas():
+    """On every connected graph of 3 to 7 nodes in the graph atlas, at every
+    k = 2..n-1, heuristic a + b never exceeds the exact a + b, and falls
+    short of it in at most 4 of the 4,790 instances."""
+    nx = pytest.importorskip("networkx")
+    instances, short = 0, []
+    for G in nx.graph_atlas_g():
+        g = build_graph(G.number_of_nodes(), G.edges())
+        if g.n < 3 or not is_connected(g):
+            continue
+        for k in range(2, g.n):
+            h = ct.verify_theorem1(g, k, mode="heuristic")
+            e = ct.verify_theorem1(g, k, mode="exact")
+            assert h.a + h.b <= e.a + e.b
+            if h.a + h.b < e.a + e.b:
+                short.append((g.edges, k))
+            instances += 1
+    assert instances == 4790
+    assert len(short) <= 4, short
 
 
 def _reachable_arrays(root):

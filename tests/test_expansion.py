@@ -30,8 +30,13 @@ from nodal_expansion.expansion import (
     sweep_cut,
 )
 from nodal_expansion.generators import gen_cycle, gen_gnp, gen_path, gen_random_regular
+from nodal_expansion import spectral
 from nodal_expansion.graph import build_graph, induced_subgraph
-from nodal_expansion.spectral import eigendecompose, select_eigenpair
+from nodal_expansion.spectral import (
+    SpectralDecomposition,
+    eigendecompose,
+    select_eigenpair,
+)
 from nodal_expansion.graph import laplacian, sign_support
 
 import loop_checks
@@ -777,6 +782,84 @@ class TestMaxPartitionable:
         g = build_graph(1, [])
         k_best, cert = max_partitionable(g, np.array([1.0]), 0.1)
         assert k_best == 1 and cert.valid
+
+
+def _key_sorted_fiedler_order(w: np.ndarray, f: np.ndarray) -> list[int]:
+    """The Fiedler order by a Python key sort: positive weights first, then
+    f, then the index."""
+    return sorted(range(len(w)), key=lambda i: (w[i] <= 0, float(f[i]), i))
+
+
+class TestSplitChain:
+    def test_fiedler_order_below_index_min_order_matches_eigh(self):
+        """Below INDEX_MIN_ORDER the Fiedler order is the one that
+        np.linalg.eigh's second eigenvector gives, bit for bit."""
+        rng = np.random.default_rng(3)
+        graphs = [gen_path(9), gen_cycle(20), gen_random_regular(40, 3, 1)]
+        graphs += [gen_gnp(n, 0.3, s) for n in (12, 33, 63) for s in range(2)]
+        for g in graphs:
+            w = rng.random(g.n) * (rng.random(g.n) >= 0.25)
+            f = np.linalg.eigh(laplacian(g))[1][:, 1]
+            assert xp._fiedler_order(_Input.checked(g, w)) == _key_sorted_fiedler_order(w, f)
+
+    def test_lexsort_matches_the_key_sort(self, monkeypatch):
+        """The lexsort gives the key sort's order on weights with zeros and
+        ties, and on Fiedler entries with ties and signed zeros."""
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 30, 200):
+            w = rng.integers(0, 3, n).astype(float)
+            f = rng.integers(-3, 4, n) / 4.0
+            f[rng.random(n) < 0.2] = -0.0
+            monkeypatch.setattr(
+                xp, "laplacian_decomposition",
+                lambda g, k, f=f: SpectralDecomposition(f[:2], f[:, None], 0.0, index=2),
+            )
+            assert xp._fiedler_order(_Input.checked(gen_path(n), w)) == (
+                _key_sorted_fiedler_order(w, f)
+            )
+
+    def test_disconnected_class_sheds_its_lightest_component(self, dense_solves):
+        """A disconnected class of order >= INDEX_MIN_ORDER splits into its
+        components, lightest first, with no eigensolve; equal weights go to
+        the first component in node order."""
+        blocks = [gen_path(30), gen_cycle(20), gen_random_regular(24, 3, 0), gen_path(20)]
+        edges, base = [], 0
+        for b in blocks:
+            edges += [(u + base, v + base) for u, v in b.edges]
+            base += b.n
+        perm = np.random.default_rng(1).permutation(base)
+        g = build_graph(base, [(perm[u], perm[v]) for u, v in edges])
+        comps, base = [], 0
+        for b in blocks:
+            comps.append(sorted(int(perm[i]) for i in range(base, base + b.n)))
+            base += b.n
+        assert g.n >= spectral.INDEX_MIN_ORDER
+        # the two 20-node components tie on weight 20, and the one with the
+        # smaller first node goes first
+        light = sorted(comps[1::2])
+        chain = xp._split_chain(_Input.checked(g, np.ones(g.n)))
+        steps = list(itertools.islice(chain, 4))
+        assert dense_solves == []
+        rest = sorted(comps[0] + comps[2])
+        assert steps[1] == [light[0], sorted(light[1] + rest)]
+        assert steps[2] == [light[0], light[1], rest]
+        assert steps[3] == [light[0], light[1], comps[2], comps[0]]
+
+    def test_connected_class_takes_the_index_route(self, dense_solves):
+        """A connected class of order >= INDEX_MIN_ORDER with a simple
+        lambda_2 gets its Fiedler vector by inverse iteration, with no eigh,
+        and the same order as the dense eigh vector, up to reversal."""
+        rng = np.random.default_rng(2)
+        cases = [gen_random_regular(100, 4, 0), gen_path(80), gen_gnp(120, 0.06, 3)]
+        for g in cases:
+            w = rng.random(g.n) + 0.1
+            f = np.linalg.eigh(laplacian(g))[1][:, 1]
+            dense = _key_sorted_fiedler_order(w, f)
+            dense_solves.clear()
+            order = xp._fiedler_order(_Input.checked(g, w))
+            names = [name for name, _ in dense_solves]
+            assert names[0] == "eigvalsh" and set(names[1:]) == {"solve"}
+            assert order in (dense, dense[::-1])
 
 
 @pytest.mark.parametrize(
