@@ -11,8 +11,8 @@ Every step of the argument is rebuilt numerically and checked with an
 explicit tolerance and slack:
 
   * M = L - lambda_k I annihilates y;
-  * the class-restricted unit vectors give a Gram-style matrix
-    B_ij = <y_hat^i, M y_hat^j> with a forced sign pattern and B z = 0;
+  * the class-restricted unit vectors give B_ij = <y_hat^i, M y_hat^j>,
+    a sum over edges, with a forced sign pattern and B z = 0;
   * interlacing: lambda_i - lambda_k <= mu_i for B's spectrum mu;
   * the comparison matrix C (same-side off-diagonals of B, diagonals chosen
     so C z = 0) has diagonal entries bounded by per-class expansions;
@@ -48,8 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian
-from .graph import laplacian_scale, sign_support, weights_from_eigenvector
+from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian_scale
+from .graph import sign_support, weights_from_eigenvector
 from .spectral import (
     SpectralDecomposition,
     laplacian_decomposition,
@@ -111,7 +111,7 @@ class EigenSplit:
 @dataclass
 class ProofObjects:
     """The proof's objects for one (graph, k, partition) that the checks
-    read.  M = L - lambda_k I and the split vectors form B and are dropped."""
+    read.  B is summed over the graph's edges, forming no M or split vector."""
 
     graph: Graph
     k: int
@@ -262,17 +262,18 @@ def _proof_objects(
     parts = tuple(pos) + tuple(neg)
     if not parts:
         raise CertificateError("no classes given; both supports empty")
-    M = laplacian(g)
-    M.flat[:: g.n + 1] -= lam
-    y_split = np.zeros((len(parts), g.n))
+    m = len(parts)
+    label = np.full(g.n, m)  # slot m holds the zero-band nodes
     for i, cls in enumerate(parts):
-        y_split[i, list(cls)] = y[list(cls)]
-    z = np.linalg.norm(y_split, axis=1)
+        label[list(cls)] = i
+    z = np.sqrt(np.bincount(label, s.w, m + 1)[:m])
     if np.any(z <= 0):
         raise CertificateError("class with zero norm (off-support class?)")
-    y_hat = y_split / z[:, None]
-    B = y_hat @ M @ y_hat.T
-    B = (B + B.T) / 2.0
+    y_hat = y / np.append(z, 1.0)[label]
+    us, vs = g.edge_arrays()
+    pairs = label[us] * (m + 1) + label[vs]  # (class of u, class of v), flat
+    S = np.bincount(pairs, -y_hat[us] * y_hat[vs], (m + 1) ** 2).reshape(m + 1, -1)[:m, :m]
+    B = S + S.T + np.diag(np.bincount(label, g.degrees() * y_hat**2, m + 1)[:m] - lam)
     mu = np.linalg.eigvalsh(B)
     p = ProofObjects(
         graph=g,

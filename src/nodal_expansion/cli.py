@@ -56,7 +56,7 @@ def emit_json(obj) -> None:
 
 
 def _load_weights(args, g):
-    if getattr(args, "weights", None):
+    if args.weights is not None:
         return fileio.read_weights(args.weights, g.n)
     # EigenSplit raises IndexError, which `run` does not report as a usage error
     if not 1 <= args.eigvec <= g.n:

@@ -84,7 +84,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, InducedSubgraph, connected_components, induced_subgraph
+from .graph import Graph, connected_components
 from .spectral import _gamma, laplacian_decomposition
 
 EXACT_BIPARTITION_CAP = 20
@@ -204,13 +204,12 @@ class _Input:
         keep = (local[self.us] >= 0) & (local[self.vs] >= 0)
         return self.w[nodes], local[self.us[keep]], local[self.vs[keep]], self.sqrt_e[keep]
 
-    def induced(self, nodes: list[int]) -> tuple[InducedSubgraph, _Input]:
-        """The subgraph induced on the ascending `nodes` and its record.
-        The subgraph keeps the edge order, so the restricted terms are the
-        ones its record would form from its own weights."""
-        sub = induced_subgraph(self.g, nodes)
+    def induced(self, nodes: list[int]) -> _Input:
+        """The record of the subgraph induced on the ascending `nodes`, its
+        edges the restricted ones, whose order the ascending map keeps."""
         w, us, vs, sqrt_e = self.restrict(nodes)
-        return sub, _Input(sub.graph, w, us, vs, sqrt_e, np.flatnonzero(w > 0).tolist())
+        g = Graph(len(nodes), tuple(zip(us.tolist(), vs.tolist())))
+        return _Input(g, w, us, vs, sqrt_e, np.flatnonzero(w > 0).tolist())
 
     def mask(self, nodes: Iterable[int]) -> np.ndarray:
         """The boolean membership mask of `nodes`."""
@@ -806,13 +805,13 @@ def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
         if ci is None:
             return
         cls = classes[ci]
-        sub, y = x.induced(cls)
-        parts = connected_components(sub.graph)
+        y = x.induced(cls)
+        parts = connected_components(y.g)
         if len(parts) > 1:
             S = min(parts, key=lambda part: _weight(y.w, part))
         else:
             S, _ = _sweep(y, _fiedler_order(y))
-        classes[ci] = list(sub.to_parent_set(S))
+        classes[ci] = sorted(cls[i] for i in S)
         classes.append(sorted(set(cls) - set(classes[ci])))
 
 

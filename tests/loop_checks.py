@@ -7,6 +7,9 @@ takes the smallest margin with `min`, which keeps the first of equal ones.
 `class_expansions` evaluates `phi` once per class on a freshly induced
 subgraph of the class's side, and `C_diagonal_slack` sums each class's
 same-side cut over the parent graph's edges, in edge order.
+
+`B_reference` is the dense form of B, which the package's edge sums match
+within a rounding bound rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from nodal_expansion import certificate as ct
 from nodal_expansion.expansion import phi
-from nodal_expansion.graph import induced_subgraph
+from nodal_expansion.graph import induced_subgraph, laplacian
 
 
 def B_sign_slack(p) -> float:
@@ -30,6 +33,18 @@ def B_sign_slack(p) -> float:
             same_side = (i < p.a) == (j < p.a)
             margins.append(-p.B[i, j] if same_side else p.B[i, j])
     return float(min(margins))
+
+
+def B_reference(p) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Y_hat (L - lambda_k I) Y_hat^T, row i of Y_hat being y on
+    class i over z_i, and its summed absolute terms
+    T = |Y_hat| (|L| + |lambda_k| I) |Y_hat|^T."""
+    L, eye = laplacian(p.graph), np.eye(p.graph.n)
+    Y = np.zeros((len(p.parts), p.graph.n))
+    for i, cls in enumerate(p.parts):
+        Y[i, list(cls)] = p.y[list(cls)] / p.z[i]
+    T = np.abs(Y) @ (np.abs(L) + abs(p.lambda_k) * eye) @ np.abs(Y).T
+    return Y @ (L - p.lambda_k * eye) @ Y.T, T
 
 
 def build_C(p) -> np.ndarray:

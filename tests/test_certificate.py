@@ -6,7 +6,7 @@ import pytest
 
 from nodal_expansion import certificate as ct
 from nodal_expansion import expansion as xp
-from nodal_expansion import spectral
+from nodal_expansion import graph, spectral
 from nodal_expansion.generators import (
     enumerate_connected_graphs,
     gen_expander_path_expander,
@@ -84,26 +84,6 @@ class TestBuildProofObjects:
         y_hat = y_split / p.z[:, None]
         gram = y_hat @ y_hat.T
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
-
-    def test_B_edge_sum_cross_check(self):
-        # off-diagonal entries equal the explicit edge sum
-        # -(sum over edges between the classes of y_u y_v) / (z_i z_j)
-        g = barbell()
-        d = eigendecompose(laplacian(g))
-        supp = sign_support(select_eigenpair(d, 3).y)
-        pos = [[i] for i in supp.positive]
-        neg = [list(supp.negative)]
-        p = ct.build_proof_objects(g, 3, pos, neg)
-        for i, ci in enumerate(p.parts):
-            for j, cj in enumerate(p.parts):
-                if i == j:
-                    continue
-                s = -sum(
-                    p.y[u] * p.y[v]
-                    for u, v in g.edges
-                    if (u in ci and v in cj) or (u in cj and v in ci)
-                )
-                assert abs(p.B[i, j] - s / (p.z[i] * p.z[j])) <= 1e-9
 
 
 def _whole_side_classes(g, k):
@@ -261,17 +241,22 @@ class TestVerifyPropSum:
 
 
 def test_one_laplacian_per_theorem_call(monkeypatch):
+    """A proof builds L once, for its spectral solve, with the spy wherever
+    the package looks `laplacian` up."""
     calls = []
 
     def spy(g):
         calls.append(g)
         return laplacian(g)
 
-    monkeypatch.setattr(spectral, "laplacian", spy)
-    g = gen_gnp(8, 0.5, seed=3)
-    report = ct.verify_theorem1(g, 3)
+    for module in (graph, spectral, ct):
+        monkeypatch.setattr(module, "laplacian", spy, raising=False)
+    report = ct.verify_theorem1(gen_gnp(8, 0.5, seed=3), 3)
     assert report.a + report.b >= 1 and report.checks  # proof objects were built
     assert len(calls) == 1
+    # a fresh graph keeps no spectrum
+    ct.build_proof_objects(gen_gnp(8, 0.5, seed=3), 3, report.pos_classes, report.neg_classes)
+    assert len(calls) == 2
 
 
 def test_one_sign_support_per_theorem_call(monkeypatch):
@@ -418,6 +403,43 @@ def test_checks_match_loop_forms_on_small_graphs():
     assert sides_seen == {0, 1, 2}
 
 
+def _assert_B_near_reference(p):
+    """Every entry of p.B, the diagonal too, lies within 3 gamma_N T_ij of
+    the dense reference, T being its summed absolute terms and
+    N = 2n + |E| + 4.  From the same y_hat bits the edge sums round at most
+    n + |E| + 4 times along any term's path and the dense product 2n + 2
+    times (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Lemma 3.1 and eq. (3.5)); a third gamma_N covers T's own rounding, a sum
+    of nonnegative terms.  A same-side entry of B sums nonpositive terms and
+    a cross-side entry nonnegative ones, so the sign-pattern slack is >= 0
+    with no tolerance."""
+    R, T = loop_checks.B_reference(p)
+    N = 2 * p.graph.n + p.graph.m + 4
+    u = np.finfo(float).eps / 2
+    bound = 3 * N * u / (1 - N * u) * T
+    assert np.all(np.abs(p.B - R) <= bound), np.max(np.abs(p.B - R) - bound)
+    assert ct.check_B_sign_pattern(p).slack >= 0
+
+
+def test_B_matches_dense_reference_on_the_atlas(monkeypatch):
+    """Every connected graph of up to 7 nodes in the graph atlas, which
+    holds each graph of up to 6 nodes up to relabelling, at every k whose
+    theorem call builds proof objects, with the classes its search
+    certifies."""
+    nx = pytest.importorskip("networkx")
+    built, run_checks = [], ct.run_checks
+    monkeypatch.setattr(ct, "run_checks", lambda p: built.append(p) or run_checks(p))
+    for G in nx.graph_atlas_g():
+        g = build_graph(G.number_of_nodes(), G.edges())
+        if g.n >= 2 and is_connected(g):
+            for k in range(1, g.n):
+                ct.verify_theorem1(g, k)
+    for p in built:
+        _assert_B_near_reference(p)
+    assert {min(n, 2) for p in built for n in (p.a, p.b)} == {0, 1, 2}
+    assert len(built) > 4000
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", SIZES)
 def test_checks_match_loop_forms_on_proof_graphs(family, n):
@@ -426,6 +448,7 @@ def test_checks_match_loop_forms_on_proof_graphs(family, n):
         pos, neg = proof_partition(ys[k], a, b)
         p = ct.build_proof_objects(g, k, pos, neg)
         loop_checks.assert_matches(p, ct.class_expansions(p))
+        _assert_B_near_reference(p)
 
 
 def test_support_components_bound_exact_class_counts():

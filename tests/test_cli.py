@@ -539,6 +539,17 @@ def test_unreadable_path_is_a_usage_error(capsys, p4_file, tmp_path):
         assert out.out == "" and out.err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize(
+    "argv", [["expander-check"], ["partition", "--k", "2"]], ids=["expander-check", "partition"]
+)
+def test_empty_weights_path_is_a_usage_error(capsys, p3_file, argv):
+    """`--weights ""` names no file: it exits 2 with a message, and is not
+    taken for an absent `--weights`."""
+    code = cli.run([*argv, p3_file, "--c", "0.5", "--weights", ""])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and out.err.startswith("error:")
+
+
 def test_exit_code_check_failure(capsys, p4_file, monkeypatch):
     # force a failing report to exercise the exit-code contract
     real = cli.ct.verify_theorem1

@@ -10,9 +10,10 @@ For each mode it prints the line count of each side and the number of
 differing lines of each line kind (`theorem`, `proof`, `search`, ...), and
 it exits 1 when any line differs.  Of the differing `theorem` lines it also
 counts those whose a + b is higher, equal and lower in the working tree,
-and those whose set of failing checks changed, so that "a + b never falls
-and no check flips" can be read off its output.  The dump script pins
-BLAS to one thread itself, so both sides sum in the same order.
+and of the differing `theorem` and `proof` lines those whose set of failing
+checks changed, so that "a + b never falls and no check flips" can be read
+off its output.  The dump script pins BLAS to one thread itself, so both
+sides sum in the same order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the tallies printed for the differing lines of each kind
+TALLIES = {
+    "theorem": ("a + b higher", "a + b equal", "a + b lower", "failing checks changed"),
+    "proof": ("failing checks changed",),
+}
 
 
 def checkout(rev: str, dest: Path) -> None:
@@ -50,9 +56,9 @@ def dump(cwd: Path, mode: str, max_n: int, out: Path) -> subprocess.Popen:
 
 def differing_kinds(old: Path, new: Path) -> tuple[int, int, Counter, Counter]:
     """Line counts of both dumps, the differing lines per line kind, and the
-    tallies of `theorem_change` over the pairs of differing `theorem`
-    lines; a line that only one dump has counts under its own kind."""
-    lines, kinds, theorems = [0, 0], Counter(), Counter()
+    tallies of `line_change` over the pairs of differing lines, keyed by
+    kind; a line that only one dump has counts under its own kind."""
+    lines, kinds, changes = [0, 0], Counter(), Counter()
     with open(old) as a, open(new) as b:
         for la, lb in itertools.zip_longest(a, b):
             lines[0] += la is not None
@@ -60,26 +66,35 @@ def differing_kinds(old: Path, new: Path) -> tuple[int, int, Counter, Counter]:
             if la != lb:
                 kinds[json.loads(la or lb)[0]] += 1
                 if la is not None and lb is not None:
-                    theorems.update(theorem_change(json.loads(la), json.loads(lb)))
-    return lines[0], lines[1], kinds, theorems
+                    changes.update(line_change(json.loads(la), json.loads(lb)))
+    return lines[0], lines[1], kinds, changes
 
 
-def theorem_change(old: list, new: list) -> list[str]:
-    """How a pair of `theorem` lines differs: whether a + b is higher, equal
-    or lower in the new line, and whether its set of failing checks
-    changed; nothing for other lines."""
-    if old[0] != "theorem" or new[0] != "theorem":
+def line_change(old: list, new: list) -> list[tuple[str, str]]:
+    """How a pair of `theorem` or `proof` lines differs, as (kind, tally)
+    pairs: for `theorem` whether a + b is higher, equal or lower in the new
+    line, and for both whether the set of failing checks changed; nothing
+    for other lines."""
+    kind = old[0]
+    if kind != new[0] or kind not in TALLIES:
         return []
-    ra, rb = old[1], new[1]
-    step = (rb["a"] + rb["b"]) - (ra["a"] + ra["b"])
-    out = ["a + b higher" if step > 0 else "a + b lower" if step < 0 else "a + b equal"]
-
-    def failing(report):
-        return {c["name"] for c in report["checks"] if not c["passed"]}
-
-    if failing(ra) != failing(rb):
+    out = []
+    checks = old[1], new[1]
+    if kind == "theorem":
+        step = sum(new[1][side] - old[1][side] for side in "ab")
+        out.append("a + b higher" if step > 0 else "a + b lower" if step < 0 else "a + b equal")
+        checks = old[1]["checks"], new[1]["checks"]
+    if failing(checks[0]) != failing(checks[1]):
         out.append("failing checks changed")
-    return out
+    return [(kind, tally) for tally in out]
+
+
+def failing(checks: list) -> set:
+    """The names of the failing checks; a `proof` line's exception outcome,
+    [class, message], counts as itself."""
+    if checks and isinstance(checks[0], str):
+        return {tuple(checks)}
+    return {c["name"] for c in checks if not c["passed"]}
 
 
 def main() -> int:
@@ -97,14 +112,15 @@ def main() -> int:
             runs = [dump(base, mode, args.max_n, old), dump(ROOT, mode, args.max_n, new)]
             if any([run.wait() for run in runs]):  # wait for both
                 raise SystemExit(f"{mode}: a dump failed")
-            n_old, n_new, kinds, theorems = differing_kinds(old, new)
+            n_old, n_new, kinds, changes = differing_kinds(old, new)
             print(f"{mode}: {n_old} lines at {args.rev}, {n_new} in the working tree, "
                   f"{sum(kinds.values())} differing")
             for kind, count in sorted(kinds.items()):
                 print(f"  {kind}: {count}")
-            if kinds["theorem"]:
-                tallies = ("a + b higher", "a + b equal", "a + b lower", "failing checks changed")
-                print("  theorem lines: " + ", ".join(f"{t} {theorems[t]}" for t in tallies))
+            for kind, tallies in TALLIES.items():
+                if kinds[kind]:
+                    print(f"  {kind} lines: "
+                          + ", ".join(f"{t} {changes[kind, t]}" for t in tallies))
             differ |= bool(kinds)
     return 1 if differ else 0
 
