@@ -23,7 +23,10 @@ and phi read inf or NaN, so such weights raise.  Small weights have no
 lower limit: a product that underflows rounds towards zero, as floats do.
 The private steps take that record, check nothing again, and call no
 public function; only `sweep_cut` checks a caller's order, and the
-internal sweeps run on orders they built.
+internal sweeps run on orders they built.  The record of a split-chain
+class, and the exact engine's record of the positive-weight nodes, is cut
+from the search's record by `_Input.induced` through
+`graph.induced_subgraph`, the one place that restricts a graph's edges.
 
 Every evaluation of phi (`phi` itself, certification, the sweep's
 prefixes, the heuristic's greedy moves, the exact engine's confirmations)
@@ -84,7 +87,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, connected_components
+from .graph import Graph, _adjacency, connected_components, induced_subgraph
 from .spectral import _gamma, laplacian_decomposition
 
 EXACT_BIPARTITION_CAP = 20
@@ -160,8 +163,8 @@ class _Input:
     edge endpoints in edge order, each edge's crossing term sqrt(w_u w_v),
     and the positive-weight nodes in ascending order.  `checked` builds a
     record from a caller's weights and `induced` one from another record,
-    whose weights were checked already, so the weights of a record are
-    always checked and its terms formed once."""
+    whose weights were checked already, both through `_of`, so the weights
+    of a record are always checked and its terms formed once."""
 
     g: Graph
     w: np.ndarray
@@ -189,27 +192,23 @@ class _Input:
         # NaN fails both comparisons and goes to the full check
         if not ((w >= 0) & (w <= _NO_OVERFLOW)).all():
             _check_large_weights(w, us, vs)
+        return cls._of(g, w)
+
+    @classmethod
+    def _of(cls, g: Graph, w: np.ndarray) -> _Input:
+        """The record of (g, w) for weights that are checked already."""
+        us, vs = g.edge_arrays()
         return cls(g, w, us, vs, np.sqrt(w[us] * w[vs]), np.flatnonzero(w > 0).tolist())
 
-    def restrict(
-        self, nodes: list[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Weights, edge endpoints (as indices into the ascending `nodes`)
-        and crossing terms of the subgraph induced on `nodes`, in edge
-        order.  On the positive-weight nodes the kernel gives the same bits
-        as on the whole graph: the nodes and edges left out only add +0.0
-        to its sums."""
-        local = np.full(self.g.n, -1)
-        local[nodes] = np.arange(len(nodes))
-        keep = (local[self.us] >= 0) & (local[self.vs] >= 0)
-        return self.w[nodes], local[self.us[keep]], local[self.vs[keep]], self.sqrt_e[keep]
-
     def induced(self, nodes: list[int]) -> _Input:
-        """The record of the subgraph induced on the ascending `nodes`, its
-        edges the restricted ones, whose order the ascending map keeps."""
-        w, us, vs, sqrt_e = self.restrict(nodes)
-        g = Graph(len(nodes), tuple(zip(us.tolist(), vs.tolist())))
-        return _Input(g, w, us, vs, sqrt_e, np.flatnonzero(w > 0).tolist())
+        """The record of `induced_subgraph` on the ascending `nodes`, or the
+        record itself when they are every node.  Its terms are the parent's
+        of the kept edges, bit for bit, so on the positive-weight nodes the
+        kernel gives the bits it gives on the parent, whose other terms add
+        only +0.0 to its sums."""
+        if len(nodes) == self.g.n:
+            return self
+        return _Input._of(induced_subgraph(self.g, nodes).graph, self.w[nodes])
 
     def mask(self, nodes: Iterable[int]) -> np.ndarray:
         """The boolean membership mask of `nodes`."""
@@ -252,13 +251,7 @@ def _mask_cut(x: _Input, in_s: np.ndarray, proper: bool = False) -> CutValue:
     return CutValue(num, min(w_s, w_rest))
 
 
-def _cut_values(
-    w: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    sqrt_e: np.ndarray,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cut_values(x: _Input, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_mask_cut`'s sums for each row of a stack of boolean masks, bit for bit.
     Each sum runs left to right over all edges or all nodes, and the terms
     that do not belong enter as +0.0, which leaves a sum of nonnegative
@@ -274,11 +267,11 @@ def _cut_values(
     as slow as `_mask_cut`, so certification and the greedy moves sum one
     set at a time, and their certificates carry those cuts to the proof
     checks."""
-    cols = np.zeros((len(w), len(rows) + 1), dtype=bool)
+    cols = np.zeros((x.g.n, len(rows) + 1), dtype=bool)
     cols[:, :-1] = rows.T
-    num = np.where(cols[us] != cols[vs], sqrt_e[:, None], 0.0)
-    w_s = np.where(cols, w[:, None], 0.0)
-    w_rest = np.where(cols, 0.0, w[:, None])
+    num = np.where(cols[x.us] != cols[x.vs], x.sqrt_e[:, None], 0.0)
+    w_s = np.where(cols, x.w[:, None], 0.0)
+    w_rest = np.where(cols, 0.0, x.w[:, None])
     return tuple(np.add.reduce(x, axis=0)[:-1] for x in (num, w_s, w_rest))
 
 
@@ -308,11 +301,9 @@ def _bit_matrix(bits: int) -> np.ndarray:
     return out
 
 
-def _phi_table(
-    g: Graph, terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _phi_table(g: Graph, y: _Input) -> tuple[np.ndarray, np.ndarray]:
     """The half table: phi of every subset of the positive-weight nodes pos
-    (whose restricted terms are `terms`) that leaves out pos[0], with inf
+    of (g, w), whose induced record is `y`, that leaves out pos[0], with inf
     for the empty set; and a bound on the distance from each entry to the
     kernel's value of the same set.  Entry i is the set of bitmask 2i (bit
     j stands for pos[j]); its complement, the odd mask 2^p - 1 - 2i, has
@@ -358,7 +349,7 @@ def _phi_table(
     is (the two reductions of inner(H), with f - h <= (f + 1) / 2, then the
     two sums); w and dsum pass through fewer.  So d <= f + 1 = p <= K.
     """
-    w_pos, us, vs, sqrt_e = terms
+    w_pos, us, vs, sqrt_e = y.w, y.us, y.vs, y.sqrt_e
     p = len(w_pos)
     A = np.zeros((p, p))
     A[us, vs] = sqrt_e
@@ -409,20 +400,17 @@ def _phi_table(
     return half, err
 
 
-def _subset_phis(
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    masks: np.ndarray,
-) -> np.ndarray:
-    """Kernel phi of each subset of the positive-weight nodes pos named by a
-    bitmask, bit for bit the value `phi` gives; in blocks of rows so that
-    memory stays bounded.  Every mask must name a nonempty set that leaves
-    out pos[0], so that both weights are positive."""
-    bits = np.arange(len(terms[0]))
-    step = max(1, _BLOCK // (len(terms[0]) + len(terms[1]) + 1))
+def _subset_phis(y: _Input, masks: np.ndarray) -> np.ndarray:
+    """Kernel phi of each subset of the positive-weight nodes pos, whose
+    record is `y`, named by a bitmask, bit for bit the value `phi` gives; in
+    blocks of rows so that memory stays bounded.  Every mask must name a
+    nonempty set that leaves out pos[0], so that both weights are positive."""
+    bits = np.arange(y.g.n)
+    step = max(1, _BLOCK // (y.g.n + y.g.m + 1))
     out = np.empty(len(masks))
     for start in range(0, len(masks), step):
         rows = ((masks[start: start + step, None] >> bits) & 1).astype(bool)
-        num, w_s, w_rest = _cut_values(*terms, rows)
+        num, w_s, w_rest = _cut_values(y, rows)
         out[start: start + step] = num / np.minimum(w_s, w_rest)
     return out
 
@@ -440,8 +428,8 @@ def _exact_min_phi(x: _Input) -> tuple[float, tuple[int, ...]]:
     the sets whose lower bound lies below the best kernel value found stay,
     since a later set can at most tie it and loses the tie on its mask.  A
     set at phi 0 therefore ends the search."""
-    terms = x.restrict(x.pos)
-    half, err = _phi_table(x.g, terms)
+    y = x.induced(x.pos)
+    half, err = _phi_table(x.g, y)
     i = int(np.argmin(half))
     cap = half[i] + err[i]
     # each set's lower bound, in place of its bound; the floor at 0 is left
@@ -451,7 +439,7 @@ def _exact_min_phi(x: _Input) -> tuple[float, tuple[int, ...]]:
     best, best_i, size = np.inf, -1, 64
     while len(cand):
         block, cand = cand[:size], cand[size:]
-        vals = _subset_phis(terms, 2 * block)
+        vals = _subset_phis(y, 2 * block)
         j = int(np.argmin(vals))  # the first, so the lowest mask, among minima
         if vals[j] < best:
             best, best_i = vals[j], int(block[j])
@@ -517,11 +505,9 @@ def _fiedler_order(x: _Input) -> list[int]:
 
 
 def _candidate_orders(x: _Input) -> list[list[int]]:
-    w = x.w
-    orders = [_fiedler_order(x)]
-    orders.append(sorted(range(x.g.n), key=lambda i: (w[i] <= 0, -w[i], i)))
-    orders.append(sorted(range(x.g.n), key=lambda i: (w[i] <= 0, i)))
-    return orders
+    index, zero = np.arange(x.g.n), x.w <= 0
+    heaviest, by_index = np.lexsort((index, -x.w, zero)), np.lexsort((index, zero))
+    return [_fiedler_order(x), heaviest.tolist(), by_index.tolist()]
 
 
 def sweep_cut(
@@ -561,7 +547,7 @@ def _sweep(x: _Input, order: list[int]) -> tuple[tuple[int, ...], CutValue]:
     step = max(1, _BLOCK // (x.g.n + x.g.m + 1))
     blocks = []
     for start in range(0, len(lengths), step):
-        blocks.append(_cut_values(x.w, x.us, x.vs, x.sqrt_e, rank < lengths[start: start + step]))
+        blocks.append(_cut_values(x, rank < lengths[start: start + step]))
     num, w_s, w_rest = (np.concatenate(sums) for sums in zip(*blocks))
     den = np.minimum(w_s, w_rest)
     # the first, so the shortest prefix, among minima
@@ -615,12 +601,12 @@ def _qualifying(x: _Input, c: float) -> list[bool]:
     """Whether each subset of the positive-weight nodes, by bitmask, has
     kernel phi below c.  The table decides where its value lies further
     from c than its bound; the kernel decides every other set."""
-    terms = x.restrict(x.pos)
-    half, err = _phi_table(x.g, terms)
+    y = x.induced(x.pos)
+    half, err = _phi_table(x.g, y)
     below = half < c
     near = np.flatnonzero(np.abs(half - c) <= err)
     if len(near):
-        below[near] = _subset_phis(terms, 2 * near) < c
+        below[near] = _subset_phis(y, 2 * near) < c
     # each complement, the odd mask 2^p - 1 - 2i, goes with its set 2i
     qualifying = np.empty(2 * len(below), dtype=bool)
     qualifying[0::2] = below
@@ -684,10 +670,7 @@ def _attach_zero_weight_nodes(x: _Input, classes: list[list[int]]) -> list[list[
             assign[i] = ci
     pending = [i for i, ci in enumerate(assign) if ci < 0]
     if pending:  # zero-weight nodes only; a sign support has none
-        adj: list[list[int]] = [[] for _ in assign]
-        for u, v in zip(x.us.tolist(), x.vs.tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = _adjacency(x.g)
     while pending:
         left = []
         for i in pending:
@@ -799,7 +782,7 @@ def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
         yield list(classes)
         ci = max(
             (ci for ci, cls in enumerate(classes) if len(cls) >= 2),
-            key=lambda ci: _weight(x.w, classes[ci]),
+            key=lambda ci: _seq_sum(x.w[classes[ci]]),
             default=None,
         )
         if ci is None:
@@ -808,17 +791,11 @@ def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
         y = x.induced(cls)
         parts = connected_components(y.g)
         if len(parts) > 1:
-            S = min(parts, key=lambda part: _weight(y.w, part))
+            S = min(parts, key=lambda part: _seq_sum(y.w[part]))
         else:
             S, _ = _sweep(y, _fiedler_order(y))
         classes[ci] = sorted(cls[i] for i in S)
         classes.append(sorted(set(cls) - set(classes[ci])))
-
-
-def _weight(w: np.ndarray, nodes: list[int]) -> float:
-    """w of the ascending `nodes`, summed left to right: the weight by which
-    `_split_chain` ranks classes and components."""
-    return float(sum(w[i] for i in nodes))
 
 
 def _heuristic_partition(

@@ -107,6 +107,10 @@ def gen_expander_path_expander(
     of block 1 and the last to node 0 of block 2.  path_len defaults to
     2*n_block, matching the combined block size.
     """
+    if n_block * d % 2 or not 0 <= d < n_block:  # before path_len's default
+        raise GenerationError(
+            f"blocks need 0 <= d < n_block and n_block*d even, got n_block={n_block}, d={d}"
+        )
     if path_len is None:
         path_len = 2 * n_block
     if path_len < 1:

@@ -68,6 +68,26 @@ class Graph:
         return deg
 
 
+def _from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
+    """The Graph on n nodes whose edges, canonical and in order, are (us, vs);
+    it takes the arrays as its `edge_arrays()`, in the `_edge_arrays` cache."""
+    g = Graph(n=n, edges=tuple(zip(us.tolist(), vs.tolist())))
+    us.flags.writeable = False
+    vs.flags.writeable = False
+    g.__dict__["_edge_arrays"] = us, vs
+    return g
+
+
+def _adjacency(g: Graph) -> list[list[int]]:
+    """Each node's neighbours, in edge order.  It walks the edge tuple: a
+    graph that is only tested for connectivity never builds edge arrays."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
@@ -155,19 +175,19 @@ class InducedSubgraph:
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
-    """Induce on `nodes`, keeping exactly the edges with both endpoints inside."""
+    """Induce on `nodes`, in any order and with repeats, keeping exactly the
+    edges with both endpoints inside.  The parent's edge arrays go through
+    the ascending node map, which keeps their order and u < v, so the kept
+    ones are the subgraph's canonical edges and its `edge_arrays()`."""
     sel = sorted(set(int(i) for i in nodes))
     for i in sel:
         if not 0 <= i < g.n:
             raise EndpointOutOfRange(f"node {i} outside [0,{g.n})")
-    index = {p: s for s, p in enumerate(sel)}
-    sub_edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return InducedSubgraph(
-        graph=Graph(n=len(sel), edges=tuple(sorted(sub_edges))),
-        to_parent=tuple(sel),
-    )
+    local = np.full(g.n, -1)
+    local[sel] = np.arange(len(sel))
+    us, vs = (local[e] for e in g.edge_arrays())
+    keep = (us >= 0) & (vs >= 0)
+    return InducedSubgraph(_from_edge_arrays(len(sel), us[keep], vs[keep]), tuple(sel))
 
 
 def weights_from_eigenvector(y: np.ndarray) -> np.ndarray:
@@ -178,10 +198,7 @@ def weights_from_eigenvector(y: np.ndarray) -> np.ndarray:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components by BFS, each sorted, ordered by smallest node."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(g)
     seen = [False] * g.n
     comps = []
     for s in range(g.n):

@@ -159,3 +159,12 @@ def component_count(graph):
     for u, v in graph.edges:
         uf.union(u, v)
     return len({uf.find(i) for i in range(graph.n)})
+
+
+def induced_reference(graph, nodes):
+    """(n, edges, to_parent) of the subgraph induced on `nodes`, by a dict
+    walk over every parent edge, sorted afterwards."""
+    sel = sorted(set(int(i) for i in nodes))
+    index = {p: s for s, p in enumerate(sel)}
+    sub_edges = [(index[u], index[v]) for u, v in graph.edges if u in index and v in index]
+    return len(sel), tuple(sorted(sub_edges)), tuple(sel)

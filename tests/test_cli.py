@@ -488,6 +488,14 @@ def test_demo_counterexample_degenerate_gap_takes_no_ordering(capsys):
     assert res["gap_ordering_holds"] is None
 
 
+def test_demo_counterexample_empty_block_is_a_usage_error(capsys):
+    """--n-block 0 exits 2 naming the block, not the path_len it defaults."""
+    code = cli.run(["demo-counterexample", "--n-block", "0"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: blocks need") and "n_block=0, d=3" in out.err
+
+
 def test_batch_verify_small(capsys):
     code, out = run_capture(capsys, ["batch-verify", "--max-n", "4"])
     assert code == 0

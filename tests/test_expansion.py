@@ -218,7 +218,7 @@ class TestCutKernel:
         rows[1] = ~rows[0]
         rows[2] = flips[: g.n]
         x = _Input.checked(g, w)
-        num, w_s, w_rest = _cut_values(x.w, x.us, x.vs, x.sqrt_e, rows)
+        num, w_s, w_rest = _cut_values(x, rows)
         for r, row in enumerate(rows):
             ref = sequential_cut(g, w, np.flatnonzero(row))
             assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
@@ -232,13 +232,12 @@ class TestCutKernel:
         rows[1] = True
         rows[2, S] = True
         x = _Input.checked(g, w)
-        terms = x.w, x.us, x.vs, x.sqrt_e
-        num, w_s, w_rest = _cut_values(*terms, rows)
+        num, w_s, w_rest = _cut_values(x, rows)
         for r, row in enumerate(rows):
             ref = sequential_cut(g, w, np.flatnonzero(row))
             assert (num[r], w_s[r], w_rest[r]) == ref  # bit for bit
             if r < 8:  # the same rows as one-mask stacks
-                one = _cut_values(*terms, rows[r : r + 1])
+                one = _cut_values(x, rows[r : r + 1])
                 assert (one[0][0], one[1][0], one[2][0]) == ref
 
     def test_greedy_move_matches_reference(self):
@@ -698,10 +697,10 @@ class TestSplitTable:
         entries up to 16 nodes, and above that a seeded sample plus every
         set that the screen sends to the kernel."""
         x = _Input.checked(g, w)
-        terms = x.restrict(x.pos)
+        y = x.induced(x.pos)
         p = len(x.pos)
         assert p - 1 > xp._SPLIT_ABOVE  # the split path
-        half, err = xp._phi_table(g, terms)
+        half, err = xp._phi_table(g, y)
         assert len(half) == 1 << (p - 1) and half[0] == np.inf
         if p <= 16:
             idx = np.arange(1, len(half))
@@ -710,7 +709,7 @@ class TestSplitTable:
             cand = np.flatnonzero(np.maximum(half - err, 0.0) <= half[i] + err[i])
             sample = np.random.default_rng(p).integers(1, len(half), 4096)
             idx = np.union1d(sample, cand[cand > 0])
-        kernel = xp._subset_phis(terms, 2 * idx)
+        kernel = xp._subset_phis(y, 2 * idx)
         assert np.all(np.abs(half[idx] - kernel) <= err[idx])
 
     @pytest.mark.parametrize("name", ["gnp14-random", "gnp14-unit"])
@@ -803,7 +802,8 @@ class TestSplitChain:
             assert xp._fiedler_order(_Input.checked(g, w)) == _key_sorted_fiedler_order(w, f)
 
     def test_lexsort_matches_the_key_sort(self, monkeypatch):
-        """The lexsort gives the key sort's order on weights with zeros and
+        """The lexsorts of the three candidate orders (Fiedler, heaviest
+        first, index) give the key sorts' orders on weights with zeros and
         ties, and on Fiedler entries with ties and signed zeros."""
         rng = np.random.default_rng(5)
         for n in (2, 7, 30, 200):
@@ -814,9 +814,11 @@ class TestSplitChain:
                 xp, "laplacian_decomposition",
                 lambda g, k, f=f: SpectralDecomposition(f[:2], f[:, None], 0.0, index=2),
             )
-            assert xp._fiedler_order(_Input.checked(gen_path(n), w)) == (
-                _key_sorted_fiedler_order(w, f)
-            )
+            assert xp._candidate_orders(_Input.checked(gen_path(n), w)) == [
+                _key_sorted_fiedler_order(w, f),
+                sorted(range(n), key=lambda i: (w[i] <= 0, -w[i], i)),
+                sorted(range(n), key=lambda i: (w[i] <= 0, i)),
+            ]
 
     def test_disconnected_class_sheds_its_lightest_component(self, dense_solves):
         """A disconnected class of order >= INDEX_MIN_ORDER splits into its

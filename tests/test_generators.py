@@ -90,6 +90,13 @@ class TestExpanderPathExpander:
         g = gen_expander_path_expander(6, 3, seed=0)
         assert g.n == 6 * 2 + 12
 
+    def test_bad_block_is_named(self):
+        """An invalid block is reported as such, not as the path_len that
+        n_block's default would give."""
+        for n_block, d in ((0, 3), (0, 0), (3, 3), (5, 3)):
+            with pytest.raises(GenerationError, match=f"n_block={n_block}, d={d}"):
+                gen_expander_path_expander(n_block, d)
+
     def test_deterministic(self):
         a = gen_expander_path_expander(8, 3, 10, seed=7)
         b = gen_expander_path_expander(8, 3, 10, seed=7)

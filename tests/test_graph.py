@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodal_expansion.certificate import default_tolerance
+from nodal_expansion.expansion import _Input
 from nodal_expansion.graph import (
     DuplicateEdgeError,
     EndpointOutOfRange,
@@ -19,7 +20,7 @@ from nodal_expansion.graph import (
 from nodal_expansion.generators import gen_complete, gen_gnp, gen_path
 from nodal_expansion.spectral import eigendecompose, select_eigenpair
 
-from oracles import char_poly_eigs
+from oracles import char_poly_eigs, induced_reference
 
 
 def p4():
@@ -178,6 +179,33 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(EndpointOutOfRange):
             induced_subgraph(p4(), {0, 7})
+
+    def test_matches_reference_on_gnp(self):
+        """On G(n, p) with n = 0..30 and node iterables that are empty, full,
+        unsorted or repeated, the restricted edge arrays give the dict walk's
+        subgraph, and they are the new graph's read-only edge arrays from the
+        start; out-of-range nodes raise, and a record induced on all its
+        nodes is the record itself."""
+        rng = np.random.default_rng(23)
+        for n in range(31):
+            g = gen_gnp(n, rng.random(), seed=n) if n else build_graph(0, [])
+            picks = [[], list(range(n)), list(range(n))[::-1]]
+            if n:
+                picks += [rng.integers(0, n, rng.integers(1, 2 * n)).tolist() for _ in range(4)]
+            for nodes in picks:
+                sub = induced_subgraph(g, iter(nodes))
+                assert "_edge_arrays" in vars(sub.graph)  # filled, not built from the tuple
+                assert (sub.graph.n, sub.graph.edges, sub.to_parent) == induced_reference(g, nodes)
+                e = np.array(sub.graph.edges, dtype=int).reshape(-1, 2)
+                us, vs = sub.graph.edge_arrays()
+                assert us.dtype == vs.dtype == e.dtype
+                assert np.array_equal(us, e[:, 0]) and np.array_equal(vs, e[:, 1])
+                assert not us.flags.writeable and not vs.flags.writeable
+            for bad in ([n], [-1], [0, n + 3]):
+                with pytest.raises(EndpointOutOfRange):
+                    induced_subgraph(g, bad)
+            x = _Input.checked(g, rng.random(n))
+            assert x.induced(list(range(n))) is x
 
 
 class TestWeights:
