@@ -184,7 +184,7 @@ class _Input:
             raise ExpansionError(f"unknown mode {mode!r}")
         if c is not None and not 0 < c < np.inf:  # NaN fails too
             raise ExpansionError(f"threshold c must be positive and finite, got {c}")
-        w = np.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float) + 0.0  # -0.0 becomes +0.0: no sum takes its sign
         if w.shape != (g.n,):
             raise ExpansionError(f"weights shape {w.shape} does not match n={g.n}")
         us, vs = g.edge_arrays()

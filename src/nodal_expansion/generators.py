@@ -2,7 +2,10 @@
 
 Randomized families draw from numpy's PCG64 seeded with the given 64-bit
 value, so an identical (family, params, seed) triple always reproduces the
-same graph bit for bit.
+same graph bit for bit: G(n,p) draws one double per node pair in row-major
+i < j order, and the pairing model one permutation per attempt, the streams
+of per-pair loops.  Each family hands its canonical edge arrays unchecked to
+`graph._from_edge_arrays`; outside input goes through `build_graph`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, _from_edge_arrays, is_connected
 
 # the pairing model gives up after this many rejected attempts
 REGULAR_MAX_RETRIES = 1000
@@ -25,35 +28,31 @@ class GenerationError(ValueError):
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise GenerationError(f"path needs n >= 1, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _from_edge_arrays(n, np.arange(n - 1), np.arange(1, n))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GenerationError(f"cycle needs n >= 3, got {n}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    # the path's edges and (0, n-1), which comes second in canonical order
+    return _from_edge_arrays(n, np.r_[0, : n - 1], np.r_[1, n - 1, 2:n])
 
 
 def gen_complete(n: int) -> Graph:
     if n < 1:
         raise GenerationError(f"complete graph needs n >= 1, got {n}")
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _from_edge_arrays(n, *np.triu_indices(n, 1))
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n,p)."""
+    """Erdos-Renyi G(n,p): one coin per node pair, in row-major i < j order."""
     if n < 1:
         raise GenerationError(f"gnp needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise GenerationError(f"edge probability {p} outside [0,1]")
-    rng = np.random.default_rng(seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return build_graph(n, edges)
+    us, vs = np.triu_indices(n, 1)
+    keep = np.random.default_rng(seed).random(len(us)) < p
+    return _from_edge_arrays(n, us[keep], vs[keep])
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -70,23 +69,11 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(REGULAR_MAX_RETRIES):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            if u > v:
-                u, v = v, u
-            if (u, v) in edges:
-                ok = False
-                break
-            edges.add((u, v))
-        if ok:
-            return build_graph(n, sorted(edges))
+        us, vs = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1).T
+        # a simple graph's codes u*n + v are distinct, and sort as its (u, v)
+        codes = np.unique(us * n + vs)
+        if len(codes) == len(us) and (us != vs).all():
+            return _from_edge_arrays(n, codes // n, codes % n)
     raise GenerationError(
         f"pairing model failed to produce a simple {d}-regular graph "
         f"on {n} nodes within {REGULAR_MAX_RETRIES} retries"
@@ -115,24 +102,27 @@ def gen_expander_path_expander(
         path_len = 2 * n_block
     if path_len < 1:
         raise GenerationError(f"path_len must be >= 1, got {path_len}")
-    block = gen_random_regular(n_block, d, seed)
-    edges: list[tuple[int, int]] = list(block.edges)
-    edges += [(u + n_block, v + n_block) for u, v in block.edges]
-    first_path = 2 * n_block
-    edges += [(first_path + i, first_path + i + 1) for i in range(path_len - 1)]
-    edges.append((0, first_path))
-    edges.append((n_block, first_path + path_len - 1))
-    return build_graph(2 * n_block + path_len, edges)
+    us, vs = gen_random_regular(n_block, d, seed).edge_arrays()
+    first, last = 2 * n_block, 2 * n_block + path_len - 1
+    us = np.concatenate([us, us + n_block, np.arange(first, last), [0, n_block]])
+    vs = np.concatenate([vs, vs + n_block, np.arange(first + 1, last + 1), [first, last]])
+    order = np.lexsort((vs, us))
+    return _from_edge_arrays(last + 1, us[order], vs[order])
+
+
+def _connected(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph | None:
+    """The graph of the pairs whose bits `mask` sets, if it is connected.  It
+    is built from the tuple: on tiny graphs, arrays would cost more."""
+    g = Graph(n=n, edges=tuple([e for i, e in enumerate(pairs) if (mask >> i) & 1]))
+    return g if is_connected(g) else None
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """All connected labeled graphs on n nodes by raw edge-subset
     enumeration (2^(n(n-1)/2) candidates; fine up to n = 6)."""
-    all_edges = list(combinations(range(n), 2))
-    for mask in range(1 << len(all_edges)):
-        edges = [e for i, e in enumerate(all_edges) if (mask >> i) & 1]
-        g = Graph(n=n, edges=tuple(edges))
-        if is_connected(g):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        if g := _connected(n, pairs, mask):
             yield g
 
 
@@ -153,19 +143,17 @@ def sample_connected_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     by uniform edge-subset masks with rejection (fixed seed, deterministic).
     Raises GenerationError once every mask has been drawn, when there are
     fewer than `count` connected graphs on n nodes."""
-    all_edges = list(combinations(range(n), 2))
+    pairs = list(combinations(range(n), 2))
     rng = np.random.default_rng(seed)
     seen: set[int] = set()
     produced = 0
     while produced < count:
-        if len(seen) == 1 << len(all_edges):
+        if len(seen) == 1 << len(pairs):
             raise GenerationError(f"only {produced} connected graphs on {n} nodes")
-        mask = _uniform_mask(rng, len(all_edges))
+        mask = _uniform_mask(rng, len(pairs))
         if mask in seen:
             continue
         seen.add(mask)
-        edges = [e for i, e in enumerate(all_edges) if (mask >> i) & 1]
-        g = Graph(n=n, edges=tuple(edges))
-        if is_connected(g):
+        if g := _connected(n, pairs, mask):
             produced += 1
             yield g

@@ -253,6 +253,21 @@ def test_partition_command(capsys, p3_file, tmp_path):
     assert json.loads(out)["found"] is False
 
 
+def test_partition_negative_zero_weight_prints_as_zero(capsys, tmp_path):
+    """A weight read as -0 gives the report that 0 gives, byte for byte:
+    the classes' crossing terms sqrt(-0.0 * 1) must not print as -0.0."""
+    edges = tmp_path / "star.txt"
+    fileio.write_edge_list(build_graph(3, [(0, 1), (0, 2)]), edges)
+    wfile = tmp_path / "w.txt"
+    outs = []
+    for zero in ("-0", "0"):
+        wfile.write_text(f"{zero}\n1\n1\n")
+        argv = ["partition", str(edges), "--k", "2", "--c", "0.5", "--weights", str(wfile)]
+        outs.append(run_capture(capsys, argv))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1][1])["phis"] == [0.0, 0.0]
+
+
 def test_partition_rejects_non_finite_weights(capsys, p3_file, tmp_path):
     wfile = tmp_path / "w.txt"
     for bad in ("nan", "inf"):

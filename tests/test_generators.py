@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nodal_expansion import generators
 from nodal_expansion.generators import (
     GenerationError,
     enumerate_connected_graphs,
@@ -49,6 +50,13 @@ class TestRandomRegular:
     def test_odd_product_rejected(self):
         with pytest.raises(GenerationError):
             gen_random_regular(5, 3, seed=0)
+
+    def test_retries_run_out(self, monkeypatch):
+        # seed 1's first pairing of 6 nodes' stubs is not simple; seed 0's is
+        monkeypatch.setattr(generators, "REGULAR_MAX_RETRIES", 1)
+        assert gen_random_regular(6, 3, seed=0).m == 9
+        with pytest.raises(GenerationError, match="pairing model failed"):
+            gen_random_regular(6, 3, seed=1)
 
     def test_deterministic(self):
         a = gen_random_regular(12, 4, seed=99)
@@ -141,3 +149,61 @@ class TestEnumeration:
         assert digest.hexdigest() == (
             "519705aa7564e76a86b664c6c654cc36d7b4049f3c1fb9ab4ee3eaf6843f35ca"
         )
+
+
+# The benchmark's draws and the edge cases, by family.  The hashes pin every
+# graph bit for bit, so that no change to a generator's code changes a graph
+# that a benchmark workload, a dump or a pinned test draws.
+PINNED_GRID = {
+    "gnp": [
+        *((n, p, seed) for n, p in ((20, 0.3), (36, 0.2)) for seed in (0, 1, 2)),
+        *((n, 8 / (n - 1), seed) for n in (600, 1000) for seed in (0, 1)),
+        (120, 0.05, 1), (9, 0.0, 4), (9, 1.0, 4), (1, 0.5, 0),
+    ],
+    "regular": [
+        *((n, 4, seed) for n in (100, 400, 800, 1200) for seed in (0, 1)),
+        (1, 0, 0), (6, 0, 3), (4, 3, 123),
+    ],
+    "bridged": [(100, 4, 200, 0), (100, 4, 200, 1), (10, 3, None, 7)],
+    "complete": [(n,) for n in range(1, 6)],
+    "path": [(n,) for n in (1, 2, 3, 4, 5, 300)],
+    "cycle": [(n,) for n in (3, 4, 5, 160)],
+}
+PINNED_FAMILY = {
+    "gnp": gen_gnp,
+    "regular": gen_random_regular,
+    "bridged": gen_expander_path_expander,
+    "complete": gen_complete,
+    "path": gen_path,
+    "cycle": gen_cycle,
+}
+PINNED_SHA256 = {
+    "gnp": "70aa47a9e0c82aa0cf6740be787ccbaaa31b181ff31f031aab486a297176922d",
+    "regular": "e279d75d5a118606afc137596317c4cc5d1b058f690f1f0fb8a6cd6ee429efb8",
+    "bridged": "12de9b5a7ec78aa9ade5ea93d6376566ed893083a3abae982f843d495cf0afe8",
+    "complete": "2708f077bd225dc9869983a1d7148eb61cc8fecd13a39dcf144f676b293501e3",
+    "path": "cb59a0ce21b2dfca08893a6f68240ae60fb0d2153e189b9165363aafc6e03f95",
+    "cycle": "915f50a663644c708030aff56f387f8bad1a51e78ddcd4b92c7ddc38ce504270",
+}
+
+
+def _pinned_graphs(family):
+    return [PINNED_FAMILY[family](*params) for params in PINNED_GRID[family]]
+
+
+class TestPinnedGraphs:
+    @pytest.mark.parametrize("family", sorted(PINNED_GRID))
+    def test_graphs_pinned(self, family):
+        digest = hashlib.sha256()
+        for g in _pinned_graphs(family):
+            digest.update(repr((g.n, g.edges)).encode())
+        assert digest.hexdigest() == PINNED_SHA256[family]
+
+    @pytest.mark.parametrize("family", sorted(PINNED_GRID))
+    def test_edge_arrays_cached_at_construction(self, family):
+        for g in _pinned_graphs(family):
+            assert "_edge_arrays" in g.__dict__  # filled when built
+            e = np.array(g.edges, dtype=int).reshape(-1, 2)
+            for got, want in zip(g.edge_arrays(), (e[:, 0], e[:, 1])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
