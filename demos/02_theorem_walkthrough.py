@@ -10,7 +10,6 @@ argument on a triangle-edge-triangle graph and prints the numbers.
 import numpy as np
 
 from nodal_expansion import (
-    build_C,
     build_graph,
     build_proof_objects,
     check_B_sign_pattern,
@@ -51,7 +50,6 @@ print("B matrix:\n", np.round(p.B, 4))
 for rec in (check_B_sign_pattern(p), check_Bz_zero(p), check_interlacing(p)):
     print(f"{rec.name}: passed={rec.passed} slack={rec.slack:.2e}")
 
-build_C(p)
 phis = class_expansions(p)
 print("\nC matrix:\n", np.round(p.C, 4))
 print("class expansions:", phis)

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion as xp
-from .graph import Graph, InducedSubgraph, induced_subgraph, laplacian_scale
+from .graph import Graph, InducedSubgraph, _node_index, induced_subgraph, laplacian_scale
 from .graph import sign_support, weights_from_eigenvector
 from .spectral import (
     SpectralDecomposition,
@@ -205,7 +205,7 @@ def _validate_classes(
     seen: set[int] = set()
     out = []
     for cls in classes:
-        nodes = tuple(sorted(int(i) for i in cls))
+        nodes = tuple(sorted(_node_index(i, CertificateError) for i in cls))
         if not nodes:
             raise CertificateError(f"empty class on {side} side")
         for i in nodes:
@@ -242,10 +242,7 @@ def build_proof_objects(
             continue
         sub, w_sub = s.side(j)
         x = xp._Input.checked(sub.graph, w_sub)
-        cuts += [
-            xp._mask_cut(x, x.mask(np.searchsorted(sub.to_parent, cls)), proper=True)
-            for cls in side
-        ]
+        cuts += [xp._mask_cut(x, np.isin(sub.to_parent, cls), proper=True) for cls in side]
     return _proof_objects(s, *sides, cuts)
 
 
@@ -294,7 +291,7 @@ def _proof_objects(
         spectrum=d,
     )
     if len(parts) >= 2:
-        build_C(p)
+        p.C = build_C(p)
     return p
 
 
@@ -342,7 +339,8 @@ def check_interlacing(p: ProofObjects) -> CheckRecord:
 
 def build_C(p: ProofObjects) -> np.ndarray:
     """Comparison matrix: same-side off-diagonals copied from B, cross-side
-    zero, diagonals chosen so that C z = 0 side by side."""
+    zero, diagonals chosen so that C z = 0 side by side.  It writes nothing
+    into p; `build_proof_objects` stores the C it returns as p.C."""
     m = p.a + p.b
     if m < 2:
         raise CertificateError("C needs at least two classes")
@@ -357,7 +355,6 @@ def build_C(p: ProofObjects) -> np.ndarray:
     if p.b == 1:
         diag[p.a] = 0.0
     C.flat[:: m + 1] = diag
-    p.C = C
     return C
 
 

@@ -55,6 +55,11 @@ and `find_partition` draws k - 1 splits from it.  The chain splits a
 support into its components first, so heuristic a and b are at least the
 nodal-domain counts of y_k's sign supports, as exact a and b are.
 
+Between the exact DP's bitmasks and the `PartitionCertificate`, a
+partition is one integer array `label`, each node's class, with -1 on a
+zero-weight node not yet attached.  It cannot fail to partition the nodes,
+so nothing checks coverage, and a certificate's class tuples are built once.
+
 Exact mode rests on one table: phi of every subset of the p positive-weight
 nodes.  Bit j takes the masks [2^j, 2^(j+1)) from the masks [0, 2^j) by
 adding w_j, the weighted degree deg_j, and t_j(m), the edge weight from
@@ -87,7 +92,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _adjacency, connected_components, induced_subgraph
+from .graph import Graph, _adjacency, _node_index, connected_components, induced_subgraph
 from .spectral import _gamma, laplacian_decomposition
 
 EXACT_BIPARTITION_CAP = 20
@@ -210,12 +215,6 @@ class _Input:
             return self
         return _Input._of(induced_subgraph(self.g, nodes).graph, self.w[nodes])
 
-    def mask(self, nodes: Iterable[int]) -> np.ndarray:
-        """The boolean membership mask of `nodes`."""
-        in_s = np.zeros(self.g.n, dtype=bool)
-        in_s[list(nodes)] = True
-        return in_s
-
 
 def _check_large_weights(w: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
     """Raise unless the weights are finite and nonnegative, and w(V), summed
@@ -285,7 +284,7 @@ def phi(g: Graph, w: np.ndarray, S: Iterable[int]) -> CutValue:
     x = _Input.checked(g, w)
     in_s = np.zeros(g.n, dtype=bool)
     for i in S:
-        i = int(i)
+        i = _node_index(i, ExpansionError)
         if not 0 <= i < g.n:
             raise ExpansionError(f"node {i} outside [0,{g.n})")
         in_s[i] = True
@@ -524,7 +523,7 @@ def sweep_cut(
     x = _Input.checked(g, w)
     if not x.pos:
         raise ExpansionError("all-zero weights")
-    order = [int(i) for i in order]
+    order = [_node_index(i, ExpansionError) for i in order]
     if sorted(order) != list(range(g.n)):
         raise ExpansionError("order is not a permutation of the nodes")
     if not (x.w[order[: len(x.pos)]] > 0).all():
@@ -648,8 +647,15 @@ def _exact_partition(
             for q in found[k - 1:]:
                 merged |= q
             masks = found[: k - 1] + [merged]
-        classes = [[node for j, node in enumerate(pos) if q >> j & 1] for q in masks]
-        cert = _certify(x, _attach_zero_weight_nodes(x, classes), c)
+        # each positive-weight node's class is the one mask with its bit
+        owner = [-1] * x.g.n
+        for ci, q in enumerate(masks):
+            for j, node in enumerate(pos):
+                if q >> j & 1:
+                    owner[node] = ci
+        label = np.array(owner)
+        _attach_zero_weight_nodes(x, label)
+        cert = _certify(x, label, c)
         if cert.valid:
             return cert
         for q, val in zip(masks, cert.phis):
@@ -659,53 +665,44 @@ def _exact_partition(
                         qualifying[part] = False
 
 
-def _attach_zero_weight_nodes(x: _Input, classes: list[list[int]]) -> list[list[int]]:
-    """Assign zero-weight nodes to the class of their lowest-index assigned
-    neighbor, in passes over the pending nodes in ascending order, each
-    seeing what the pass assigned before it, until a pass assigns none;
-    stragglers join the first class."""
-    assign = [-1] * x.g.n
-    for ci, cls in enumerate(classes):
-        for i in cls:
-            assign[i] = ci
-    pending = [i for i, ci in enumerate(assign) if ci < 0]
-    if pending:  # zero-weight nodes only; a sign support has none
-        adj = _adjacency(x.g)
+def _attach_zero_weight_nodes(x: _Input, label: np.ndarray) -> None:
+    """Fill the -1 entries of `label`, the zero-weight nodes, in place: each
+    takes the class of its lowest-index labelled neighbour, in passes over
+    the pending nodes in ascending order, each seeing what the pass labelled
+    before it, until a pass labels none; stragglers join class 0."""
+    if len(x.pos) == x.g.n:  # no zero-weight node, as on a sign support
+        return
+    pending = np.flatnonzero(label < 0).tolist()
+    adj = _adjacency(x.g)
     while pending:
         left = []
         for i in pending:
-            nbrs = [j for j in adj[i] if assign[j] >= 0]
+            nbrs = [j for j in adj[i] if label[j] >= 0]
             if nbrs:
-                assign[i] = assign[min(nbrs)]
+                label[i] = label[min(nbrs)]
             else:
                 left.append(i)
         if len(left) == len(pending):
             break
         pending = left
-    for i in pending:
-        assign[i] = 0
-    out: list[list[int]] = [[] for _ in classes]
-    for i, ci in enumerate(assign):
-        out[ci].append(i)
-    return out
+    label[pending] = 0
 
 
-def _certify(x: _Input, classes: list[list[int]], c: float) -> PartitionCertificate:
+def _certify(x: _Input, label: np.ndarray, c: float) -> PartitionCertificate:
     """Re-verify a candidate partition into two or more classes by direct
-    evaluation of its cuts."""
-    covered = sorted(itertools.chain.from_iterable(classes))
-    if covered != list(range(x.g.n)):
-        raise ExpansionError("classes do not partition the node set")
-    return _certificate(classes, [_mask_cut(x, x.mask(cls)) for cls in classes], c)
+    evaluation of its cuts, class ci being the nodes of label ci for
+    ci = 0 .. label.max(); a label covers every node by its type."""
+    return _certificate(label, [_mask_cut(x, label == ci) for ci in range(label.max() + 1)], c)
 
 
-def _certificate(
-    classes: list[list[int]], cuts: Sequence[CutValue], c: float
-) -> PartitionCertificate:
+def _certificate(label: np.ndarray, cuts: Sequence[CutValue], c: float) -> PartitionCertificate:
     """The certificate of a partition into two or more classes whose kernel
-    cuts are known."""
+    cuts are known, one cut per label."""
+    classes: list[list[int]] = [[] for _ in cuts]
+    for i, ci in enumerate(label.tolist()):
+        classes[ci].append(i)
     return PartitionCertificate(
-        classes=tuple(tuple(sorted(cls)) for cls in classes),
+        classes=tuple(map(tuple, classes)),
         cuts=tuple(cuts),
         c=c,
         valid=all(cut.phi < c for cut in cuts),
@@ -746,23 +743,25 @@ def find_partition(
         return None
     if mode == "exact":
         return _exact_partition(x, c, k)
-    classes = next(itertools.islice(_split_chain(x), k - 1, None), None)
-    if classes is None:
+    label = next(itertools.islice(_split_chain(x), k - 1, None), None)
+    if label is None:
         return None
-    return _heuristic_partition(x, classes, c)
+    return _heuristic_partition(x, label, c)
 
 
-def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
+def _split_chain(x: _Input) -> Iterator[np.ndarray]:
     """The classes of the positive-weight nodes after 0, 1, 2, ... splits,
-    until every class is a single node.  Each split cuts the heaviest class
-    of two or more nodes, the first among equals.  When the graph induced
-    on that class is disconnected, its lightest component, the first among
-    equals in `connected_components` order, is split off: no eigensolve
-    and no sweep.  Each component boundary is a cut of phi 0, so this is a
-    best sweep cut of any order of the (repeated) null space, and it does
-    not hang on the basis LAPACK picks for it.  A connected class is cut
-    along its Fiedler sweep.  Either way the part split off takes the
-    class's index and the rest is appended.  A split depends only on the
+    until every class is a single node, as labels: each yield is a fresh
+    copy of the chain's one label array, with -1 on the zero-weight nodes.
+    Each split cuts the heaviest class of two or more nodes, the first
+    among equals.  When the graph induced on that class is disconnected,
+    its lightest component, the first among equals in
+    `connected_components` order, is split off: no eigensolve and no
+    sweep.  Each component boundary is a cut of phi 0, so this is a best
+    sweep cut of any order of the (repeated) null space, and it does not
+    hang on the basis LAPACK picks for it.  A connected class is cut along
+    its Fiedler sweep.  Either way the part split off keeps the class's
+    label and the rest takes the next one.  A split depends only on the
     class it cuts, so the classes after j splits are the same whichever k
     asks for them.
 
@@ -777,44 +776,43 @@ def _split_chain(x: _Input) -> Iterator[list[list[int]]]:
     are the r components, each of phi 0 < c, and every class after fewer
     splits is a union of components, of phi 0 too.  Heuristic
     `max_partitionable` therefore reaches k = r at least."""
-    classes: list[list[int]] = [list(x.pos)]
-    while True:
-        yield list(classes)
+    label = np.where(x.w > 0, 0, -1)
+    for k in itertools.count(1):
+        yield label.copy()
+        size = np.bincount(label[x.pos], minlength=k)
         ci = max(
-            (ci for ci, cls in enumerate(classes) if len(cls) >= 2),
-            key=lambda ci: _seq_sum(x.w[classes[ci]]),
+            (ci for ci in range(k) if size[ci] >= 2),
+            key=lambda ci: _seq_sum(x.w[label == ci]),
             default=None,
         )
         if ci is None:
             return
-        cls = classes[ci]
-        y = x.induced(cls)
+        cls = np.flatnonzero(label == ci)
+        y = x.induced(cls.tolist())
         parts = connected_components(y.g)
         if len(parts) > 1:
             S = min(parts, key=lambda part: _seq_sum(y.w[part]))
         else:
             S, _ = _sweep(y, _fiedler_order(y))
-        classes[ci] = sorted(cls[i] for i in S)
-        classes.append(sorted(set(cls) - set(classes[ci])))
+        label[cls] = k
+        label[cls[list(S)]] = ci
 
 
-def _heuristic_partition(
-    x: _Input, classes: list[list[int]], c: float
-) -> PartitionCertificate | None:
-    """Greedy single-node moves from the classes of a split chain, with the
+def _heuristic_partition(x: _Input, label: np.ndarray, c: float) -> PartitionCertificate | None:
+    """Greedy single-node moves from a split chain's label, with the
     zero-weight nodes attached, until every class has phi < c or
-    GREEDY_MOVE_CAP moves have been made.  A move changes two classes, whose
-    kernel cuts it has computed, so the classes are certified by direct
-    evaluation once, first."""
-    full = _attach_zero_weight_nodes(x, classes)
-    cert = _certify(x, full, c)
-    steps = 0
-    while not cert.valid and steps < GREEDY_MOVE_CAP:
-        steps += 1
-        cuts = _greedy_move(x, full, cert.cuts)
-        if cuts is None:
+    GREEDY_MOVE_CAP moves have been made.  The classes' cuts are evaluated
+    directly once, first; a move changes two classes, whose kernel cuts it
+    has computed, and the certificate is built from the last cuts."""
+    _attach_zero_weight_nodes(x, label)
+    cuts = [_mask_cut(x, label == ci) for ci in range(label.max() + 1)]
+    for _ in range(GREEDY_MOVE_CAP):
+        if all(cut.phi < c for cut in cuts):
             break
-        cert = _certificate(full, cuts, c)
+        cuts = _greedy_move(x, label, cuts)
+        if cuts is None:
+            return None
+    cert = _certificate(label, cuts, c)
     return cert if cert.valid else None
 
 
@@ -852,16 +850,17 @@ def _moved_phi_floor(
 
 
 def _greedy_move(
-    x: _Input, classes: list[list[int]], cuts: Sequence[CutValue]
+    x: _Input, label: np.ndarray, cuts: Sequence[CutValue]
 ) -> list[CutValue] | None:
     """Move one boundary node between classes if it lowers the worst phi.
 
-    `classes` are sorted lists that partition the nodes, and `cuts` their
-    kernel cuts, as `_certify` gives them.  Edges are scanned in order, each
-    endpoint in turn, and the first move whose worst class phi falls
-    strictly below the current worst, `base`, is made.  Mutates `classes`;
-    returns the kernel cuts of the classes after the move, the same bits
-    as `_certify` gives, or None when no move is made.
+    `label` gives every node's class, and `cuts` the kernel cuts of classes
+    0 .. len(cuts) - 1, as `_certify` gives them.  Edges are scanned in
+    order, each endpoint in turn, and the first move whose worst class phi
+    falls strictly below the current worst, `base`, is made by writing the
+    node's new class into `label`; returns the kernel cuts of the classes
+    after the move, the same bits as `_certify` gives, or None when no move
+    is made.
 
     Screen, then confirm.  Moving node a from class ca to class cb changes
     only the terms of a's incident edges, so from the per-node sums of
@@ -874,14 +873,7 @@ def _greedy_move(
     move made is the one that evaluating every trial by the kernel would
     make."""
     g, w, us, vs, sqrt_e = x.g, x.w, x.us, x.vs, x.sqrt_e
-    k = len(classes)
-    label = np.empty(g.n, dtype=int)
-    for ci, cls in enumerate(classes):
-        label[cls] = ci
-
-    def class_cut(ci: int) -> CutValue:
-        return _mask_cut(x, label == ci)
-
+    k = len(cuts)
     phis = [cut.phi for cut in cuts]
     base = max(phis)
 
@@ -890,7 +882,7 @@ def _greedy_move(
     a_all = np.stack((us, vs), axis=1).ravel()
     ca_all = label[a_all]
     cb_all = label[np.stack((vs, us), axis=1).ravel()]
-    size = np.array([len(cls) for cls in classes])
+    size = np.bincount(label, minlength=k)
     live = np.flatnonzero((ca_all != cb_all) & (size[ca_all] > 1))
     a, ca, cb = a_all[live], ca_all[live], cb_all[live]
 
@@ -929,11 +921,8 @@ def _greedy_move(
         node, src, dst = int(a[t]), int(ca[t]), int(cb[t])
         label[node] = dst
         trial = list(cuts)
-        trial[src], trial[dst] = class_cut(src), class_cut(dst)
+        trial[src], trial[dst] = _mask_cut(x, label == src), _mask_cut(x, label == dst)
         if max(cut.phi for cut in trial) < base:
-            classes[src].remove(node)
-            classes[dst].append(node)
-            classes[dst].sort()
             return trial
         label[node] = src
     return None
@@ -967,8 +956,8 @@ def max_partitionable(
         return 1, best_cert
     best_k = 1
     # the chain's first entry, the unsplit support, is k = 1
-    for k, classes in enumerate(itertools.islice(_split_chain(x), 1, None), start=2):
-        cert = _heuristic_partition(x, classes, c)
+    for k, label in enumerate(itertools.islice(_split_chain(x), 1, None), start=2):
+        cert = _heuristic_partition(x, label, c)
         if cert is None:
             break
         best_k, best_cert = k, cert

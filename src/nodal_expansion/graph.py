@@ -3,6 +3,7 @@ and eigenvector sign supports."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -78,6 +79,15 @@ def _from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
     return g
 
 
+def _node_index(i: object, error: type[ValueError]) -> int:
+    """i as a node index by `operator.index`: integers pass, and a float,
+    1.0 included, raises the caller's `error` where int() would truncate."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise error(f"node index {i!r} is not an integer") from None
+
+
 def _adjacency(g: Graph) -> list[list[int]]:
     """Each node's neighbours, in edge order.  It walks the edge tuple: a
     graph that is only tested for connectivity never builds edge arrays."""
@@ -99,8 +109,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     seen: set[tuple[int, int]] = set()
     canon: list[tuple[int, int]] = []
     for pair in edges:
-        u, v = pair
-        u, v = int(u), int(v)
+        u, v = (_node_index(i, GraphError) for i in pair)
         if not (0 <= u < n and 0 <= v < n):
             raise EndpointOutOfRange(f"edge ({u},{v}) has endpoint outside [0,{n})")
         if u == v:
@@ -179,7 +188,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> InducedSubgraph:
     edges with both endpoints inside.  The parent's edge arrays go through
     the ascending node map, which keeps their order and u < v, so the kept
     ones are the subgraph's canonical edges and its `edge_arrays()`."""
-    sel = sorted(set(int(i) for i in nodes))
+    sel = sorted(set(_node_index(i, GraphError) for i in nodes))
     for i in sel:
         if not 0 <= i < g.n:
             raise EndpointOutOfRange(f"node {i} outside [0,{g.n})")

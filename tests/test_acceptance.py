@@ -162,8 +162,6 @@ def _make_instances(count=1000, seed=20240817):
                 )
             pos, neg = sides
         p = ct.build_proof_objects(g, k, pos, neg)
-        if p.a + p.b >= 2:
-            ct.build_C(p)
         phis = ct.class_expansions(p)
         instances.append((g, k, d, p, phis))
     return instances

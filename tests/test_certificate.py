@@ -120,7 +120,6 @@ class TestChecks:
         rec = ct.check_Bz_zero(p)
         assert rec.passed and abs(rec.slack) <= 1e-9
         assert ct.check_interlacing(p).passed
-        ct.build_C(p)
         assert p.C[0, 0] >= -1e-12
         assert np.max(np.abs(p.C @ p.z)) <= 1e-9
         phis = ct.class_expansions(p)
@@ -132,15 +131,20 @@ class TestChecks:
         assert ct.check_C_diagonal(p).passed
         assert ct.check_CminusB_psd(p).passed
 
+    def test_build_C_writes_nothing(self):
+        """build_C returns C and leaves the proof objects as they are: p.C
+        stays the array that build_proof_objects stored."""
+        p = ct.build_proof_objects(p4(), 2, [[0], [1]], [[2, 3]])
+        C = p.C
+        assert np.array_equal(ct.build_C(p), C)
+        assert p.C is C
+
     def test_lambda_max_C_precondition(self):
         g = p4()
-        p = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
-        ct.build_C(p)
         with pytest.raises(ct.CertificateError):
             # claim a tiny threshold so the class expansions violate it
             p2 = ct.build_proof_objects(g, 2, [[0], [1]], [[2, 3]])
             p2.c = 1e-6
-            ct.build_C(p2)
             ct.check_lambda_max_C(p2)
 
 

@@ -257,18 +257,17 @@ class TestCutKernel:
             w = rng.random(n)
             w[rng.random(n) < 0.2] = 0.0
             k = int(rng.integers(2, 5))
-            labels = rng.integers(0, k, n)
-            classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
-            ref = [list(cls) for cls in classes]
+            label = rng.integers(0, k, n)
+            ref = classes_of(label, k)
             x = _Input.checked(g, w)
             for _ in range(20):
-                made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
+                made = _greedy_move(x, label, class_cuts(x, label, k))
                 assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
-                assert classes == ref
+                assert classes_of(label, k) == ref
                 if made is None:
                     break
                 assert list(map(cut_bits, made)) == list(
-                    map(cut_bits, _certify(x, classes, 0.5).cuts)
+                    map(cut_bits, class_cuts(x, label, k))
                 )  # bit for bit
                 moves += 1
         assert moves > 40  # the instances exercise the moves, not only "no move"
@@ -304,18 +303,17 @@ class TestCutKernel:
                     w[np.flatnonzero(labels == 0)[1:]] = 0.0  # class 0: one positive node
                 elif variant == "tiny":
                     w[rng.permutation(n)[: n // 3]] = 1e-30
-                classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
-                ref = [list(cls) for cls in classes]
+                ref = classes_of(labels, k)
                 x = _Input.checked(g, w)
                 for _ in range(30):
-                    made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
+                    made = _greedy_move(x, labels, _certify(x, labels, 0.5).cuts)
                     assert (made is not None) == greedy_move_reference(g, w, ref, 0.5)
-                    assert classes == ref
+                    assert classes_of(labels, k) == ref
                     if made is None:
                         stuck += 1
                         break
                     assert list(map(cut_bits, made)) == list(
-                        map(cut_bits, _certify(x, classes, 0.5).cuts)
+                        map(cut_bits, _certify(x, labels, 0.5).cuts)
                     )
                     moves += 1
         assert moves > 100 and stuck > 50
@@ -327,12 +325,12 @@ class TestCutKernel:
         # lowers the worst phi from about 2e15 to 1e15, for the kernel.
         g = build_graph(4, [(0, 2), (0, 3), (1, 3)])
         w = np.array([1e-30, 1e-30, 1.0, 1.0])
-        classes, ref = [[0], [3], [1, 2]], [[0], [3], [1, 2]]
+        label, ref = label_of(4, [[0], [3], [1, 2]]), [[0], [3], [1, 2]]
         x = _Input.checked(g, w)
-        made = _greedy_move(x, classes, _certify(x, classes, 0.5).cuts)
+        made = _greedy_move(x, label, _certify(x, label, 0.5).cuts)
         assert greedy_move_reference(g, w, ref, 0.5)
-        assert classes == ref == [[0, 2], [3], [1]]
-        assert list(map(cut_bits, made)) == list(map(cut_bits, _certify(x, classes, 0.5).cuts))
+        assert classes_of(label, 3) == ref == [[0, 2], [3], [1]]
+        assert list(map(cut_bits, made)) == list(map(cut_bits, _certify(x, label, 0.5).cuts))
 
 
 class TestIsExpander:
@@ -746,9 +744,10 @@ class TestMaxPartitionable:
             splits.append(x.g.n)
             return fiedler(x)
 
-        def heuristic_spy(x, classes, c):
-            cert = heuristic(x, classes, c)
-            built.append((len(classes), cert))
+        def heuristic_spy(x, label, c):
+            k = int(label.max()) + 1
+            cert = heuristic(x, label, c)
+            built.append((k, cert))
             return cert
 
         for g, w, c in cases:
@@ -843,9 +842,29 @@ class TestSplitChain:
         steps = list(itertools.islice(chain, 4))
         assert dense_solves == []
         rest = sorted(comps[0] + comps[2])
-        assert steps[1] == [light[0], sorted(light[1] + rest)]
-        assert steps[2] == [light[0], light[1], rest]
-        assert steps[3] == [light[0], light[1], comps[2], comps[0]]
+        want = [
+            [light[0], sorted(light[1] + rest)],
+            [light[0], light[1], rest],
+            [light[0], light[1], comps[2], comps[0]],
+        ]
+        for step, classes in zip(steps[1:], want, strict=True):
+            assert step.tolist() == label_of(g.n, classes).tolist()
+
+    def test_chain_yields_independent_labels(self):
+        """Each yield is a copy: writing into one yielded label leaves every
+        later yield equal to a fresh chain's."""
+        rng = np.random.default_rng(4)
+        for g in (gen_random_regular(24, 3, 1), gen_gnp(20, 0.2, 3)):
+            w = rng.random(g.n) * (rng.random(g.n) >= 0.25)
+            x = _Input.checked(g, w)
+            fresh = [label.tolist() for label in xp._split_chain(x)]
+            assert len(fresh) == np.count_nonzero(w > 0)  # down to single nodes
+            chain = xp._split_chain(x)
+            for want in fresh:
+                label = next(chain)
+                assert label.tolist() == want
+                label[:] = 0
+            assert next(chain, None) is None
 
     def test_connected_class_takes_the_index_route(self, dense_solves):
         """A connected class of order >= INDEX_MIN_ORDER with a simple
@@ -931,6 +950,25 @@ def cut_bits(cut):
     return cut.numerator.hex(), cut.denominator.hex()
 
 
+def label_of(n, classes):
+    """The label array of class lists over n nodes, -1 on nodes in none."""
+    label = np.full(n, -1)
+    for ci, cls in enumerate(classes):
+        label[cls] = ci
+    return label
+
+
+def classes_of(label, k):
+    """The sorted class lists of labels 0 .. k - 1, empty ones included."""
+    return [np.flatnonzero(label == ci).tolist() for ci in range(k)]
+
+
+def class_cuts(x, label, k):
+    """The kernel cuts of labels 0 .. k - 1, as `_certify` evaluates them;
+    k is given, as a random label may leave the last class empty."""
+    return [xp._mask_cut(x, label == ci) for ci in range(k)]
+
+
 def sums_bits(*sums):
     return tuple(float(x).hex() for x in sums)
 
@@ -988,9 +1026,8 @@ class TestCarriedCuts:
             for k in (2, 3, 4):
                 labels = rng.integers(0, k, n)
                 labels[:k] = np.arange(k)  # no class is empty
-                classes = [[i for i in range(n) if labels[i] == ci] for ci in range(k)]
                 moves_before = sum(moves)
-                cert = xp._heuristic_partition(xp._Input.checked(g, w), classes, c)
+                cert = xp._heuristic_partition(xp._Input.checked(g, w), labels, c)
                 if cert is not None and sum(moves) > moves_before:
                     self.assert_carried(g, w, cert)
                     certs += 1
@@ -1021,8 +1058,9 @@ class TestZeroWeightAttachment:
             for k in (1, 2, 3):
                 labels = rng.integers(0, k, len(pos))
                 classes = [[v for v, ci in zip(pos, labels) if ci == j] for j in range(k)]
-                got = xp._attach_zero_weight_nodes(x, classes)
-                assert got == loop_checks.attach_zero_weight_nodes(g, classes)
+                label = label_of(n, classes)
+                xp._attach_zero_weight_nodes(x, label)
+                assert classes_of(label, k) == loop_checks.attach_zero_weight_nodes(g, classes)
                 compared += 1
         assert compared > 600
 
@@ -1032,6 +1070,8 @@ class TestZeroWeightAttachment:
         w = np.zeros(300)
         w[-2:] = 1.0
         classes = [[298], [299]]
-        got = xp._attach_zero_weight_nodes(_Input.checked(g, w), classes)
+        label = label_of(300, classes)
+        xp._attach_zero_weight_nodes(_Input.checked(g, w), label)
+        got = classes_of(label, 2)
         assert got == loop_checks.attach_zero_weight_nodes(g, classes)
         assert got == [list(range(299)), [299]]

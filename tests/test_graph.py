@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodal_expansion.certificate import default_tolerance
-from nodal_expansion.expansion import _Input
+from nodal_expansion.certificate import CertificateError, build_proof_objects, default_tolerance
+from nodal_expansion.expansion import ExpansionError, _Input, phi, sweep_cut
 from nodal_expansion.graph import (
     DuplicateEdgeError,
     EndpointOutOfRange,
+    GraphError,
     SelfLoopError,
     build_graph,
     connected_components,
@@ -248,3 +249,24 @@ class TestCachedStructure:
 def test_connected_components():
     g = build_graph(5, [(0, 1), (2, 3)])
     assert connected_components(g) == [[0, 1], [2, 3], [4]]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda i: build_graph(3, [(0, i), (1, 2)]), GraphError),
+        (lambda i: phi(gen_path(3), np.ones(3), [i]), ExpansionError),
+        (lambda i: sweep_cut(gen_path(4), np.ones(4), [0, i, 2, 3]), ExpansionError),
+        (lambda i: induced_subgraph(gen_path(3), [0, i]), GraphError),
+        (lambda i: build_proof_objects(gen_path(4), 2, [[0, i]], [[2, 3]]), CertificateError),
+    ],
+    ids=["build_graph", "phi", "sweep_cut", "induced_subgraph", "build_proof_objects"],
+)
+def test_node_index_must_be_an_integer(call, error):
+    """A node index that is not an integer raises the entry point's own
+    error, where int() would truncate it; Python and numpy integers pass."""
+    for good in (1, np.int64(1), np.int32(1)):
+        call(good)
+    for bad in (1.0, 1.5, 0.9, np.float64(1.0)):
+        with pytest.raises(error, match="not an integer"):
+            call(bad)
